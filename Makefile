@@ -55,10 +55,11 @@ transport-matrix:
 	$(GO) test -race -run 'Shm|UDS' ./internal/cosim/ ./internal/farm/
 
 # federation-matrix proves the N-party hierarchical time manager: K=2
-# federations bit-identical to the pairwise engine (same sync/elision
-# counts) across every transport, multi-board and pulse-device
-# topologies deterministic, and the manager's lookahead edge cases —
-# all under the race detector.
+# federations (every router.Run) match the committed pairwise goldens in
+# internal/router/testdata (same sync/elision counts) across every
+# transport crossed with alternating, pipelined and adaptive schedules,
+# multi-board and pulse-device topologies are deterministic, and the
+# manager's lookahead edge cases hold — all under the race detector.
 federation-matrix:
 	$(GO) test -race -run 'TestFederation|TestRunDispatchesFederation|TestMultiBoard' ./internal/router/
 	$(GO) test -race -run 'TestFarmRunsFederatedSessions' ./internal/farm/

@@ -148,12 +148,10 @@ func benches() []bench {
 				rc.TB.Period = 10000
 			}))
 	}
-	// Federation family: the same miniature workload driven by the
-	// hierarchical time manager instead of the pairwise driver loop.
-	// K=2 measures the manager's overhead on a topology the pairwise
-	// engine could also run (it must stay bit-identical, so the delta is
-	// pure scheduling cost); Boards=2 and Pulse=2 track the genuinely
-	// N-party schedules the old loop could not express.
+	// Federation family: the same miniature workload with an explicit
+	// topology. K=2 is the one-board topology every plain Run uses, kept
+	// as a named point so its history stays comparable; Boards=2 and
+	// Pulse=2 track the genuinely N-party schedules.
 	out = append(out, cosimBench("Federation/K=2", 200, 1000, func(rc *router.RunConfig) {
 		rc.Federation = &router.FederationConfig{Boards: 1}
 	}))

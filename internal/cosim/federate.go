@@ -108,17 +108,17 @@ type SplitStepper interface {
 
 // LookaheadSink is an optional Federate capability: a federate that
 // forwards the federation's promise to a remote party (the grant's
-// Lookahead field) implements it to receive, before each rendezvous, the
-// minimum lookahead of all other federates.
+// Lookahead field) implements it to receive, before each rendezvous of an
+// adaptive federation, the minimum lookahead of all other federates.
 type LookaheadSink interface {
 	SetGrantLookahead(ticks uint64)
 }
 
 // SyncRecorder is an optional Federate capability: a federate that keeps
-// the pairwise DriverStats accounting (SyncEvents / SyncsElided /
+// the hdlsim.DriverStats accounting (SyncEvents / SyncsElided /
 // LastBoardCy) implements it so the time manager's boundary decisions
-// land in the same counters the pairwise path fills — the bit-identity
-// checks compare them directly.
+// land in the same counters DriverSimulate fills — the golden
+// fingerprints compare them directly.
 type SyncRecorder interface {
 	RecordSync(peerCycle uint64)
 	RecordElision()
@@ -127,7 +127,7 @@ type SyncRecorder interface {
 // BoardClock is an optional Federate capability: a federate fronting a
 // board-side kernel reports the board's local cycle and software tick
 // from its most recent acknowledgement, so the manager can fold the
-// slowest board time into the pairwise-compatible stats.
+// slowest board time into the DriverStats-compatible counters.
 type BoardClock interface {
 	BoardTime() (cycle, swTick uint64)
 }

@@ -1,6 +1,9 @@
 // Package federation coordinates K co-simulation federates under one
-// conservative quantum clock — the N-party generalization of the
-// pairwise HW/SW rendezvous (hdlsim.DriverSimulate ↔ HWEndpoint).
+// conservative quantum clock — the paper's driver_simulate rendezvous
+// (hdlsim.DriverSimulate ↔ HWEndpoint) generalized to N parties. It is
+// the one synchronization engine behind router.Run: the paper's
+// two-party setup is a K=2 federation of the router kernel and one
+// board.
 //
 // The time manager distinguishes two party roles, mirroring the paper's
 // master/slave quantum protocol:
@@ -11,13 +14,12 @@
 //     cosim.ProcFederate) freeze between rendezvous and advance in one
 //     piece when the federation grants accumulated time.
 //
-// Quantum boundaries may be elided exactly as in the pairwise adaptive
-// path: the decision is hdlsim.ElideBoundary with the peer lookahead
-// generalized to the minimum over all granted parties and the local
-// lookahead to the minimum over all eager parties, plus the a-posteriori
-// no-routed-traffic check. A K=2 federation therefore makes bit-identical
-// elision decisions — and, through cosim.ProcFederate, byte-identical
-// wire traffic — to the pairwise path.
+// Quantum boundaries may be elided by lookahead negotiation: the decision
+// (elideBoundary) takes the peer lookahead as the minimum over all
+// granted parties and the local lookahead as the minimum over all eager
+// parties, plus the a-posteriori no-routed-traffic check. Without
+// elision a K=2 federation sends, through cosim.ProcFederate,
+// byte-identical wire traffic to hdlsim.DriverSimulate at the same TSync.
 //
 // Events are exchanged only at boundaries and routed by explicit links
 // (address windows for data, line numbers for interrupts), so the whole
@@ -31,7 +33,6 @@ import (
 	"fmt"
 
 	"repro/internal/cosim"
-	"repro/internal/hdlsim"
 )
 
 // Party declares one federation member.
@@ -70,7 +71,7 @@ type Config struct {
 	// Horizon bounds the run in grant ticks.
 	Horizon uint64
 	// Adaptive enables lookahead-negotiated quantum elongation across
-	// the whole federation (see hdlsim.ElideBoundary); a single party
+	// the whole federation (see elideBoundary); a single party
 	// reporting cosim.NoLookahead pins the federation to plain TSync
 	// stepping.
 	Adaptive bool
@@ -78,15 +79,18 @@ type Config struct {
 	// means 64×TSync.
 	MaxQuantum uint64
 	// StopEarly, when non-nil, is consulted at every rendezvous; a true
-	// return ends the run at that boundary (the pairwise
-	// DriverConfig.StopEarly contract).
+	// return ends the run at that boundary (the
+	// hdlsim.DriverConfig.StopEarly contract). It must be a pure
+	// predicate of simulation state: with Adaptive set it is also polled
+	// at elided boundaries, so the run ends at the same cycle it would
+	// have without elongation.
 	StopEarly func() bool
 }
 
 // Validate rejects incoherent federations up front.
 func (c Config) Validate() error {
 	if len(c.Parties) < 2 {
-		return fmt.Errorf("federation: invalid Config: %d parties — a federation needs at least two (use router.Run for a plain pairwise session)", len(c.Parties))
+		return fmt.Errorf("federation: invalid Config: %d parties — a federation needs at least two, e.g. a device kernel and a board as router.Run builds", len(c.Parties))
 	}
 	if c.TSync == 0 {
 		return fmt.Errorf("federation: invalid Config: TSync is 0, so the manager would never grant virtual time; set a quantum ≥ 1")
@@ -271,7 +275,7 @@ func (tm *TimeManager) lazyTrafficPending() bool {
 // minLookaheadExcept folds the parties' promises, skipping index skip
 // (-1 skips none) and restricting to the given index set.
 func (tm *TimeManager) minLookahead(set []int, skip int) uint64 {
-	min := uint64(hdlsim.UnboundedLookahead)
+	min := cosim.UnboundedLookahead
 	for _, i := range set {
 		if i == skip {
 			continue
@@ -305,12 +309,12 @@ func (tm *TimeManager) eagerStopped() bool {
 
 // rendezvous grants every granted party the federation time up to until,
 // overlapping wire parties' quanta (grants first, acknowledgements
-// second, the MultiHWEndpoint schedule), routes the collected traffic,
-// and folds the slowest board clock into the eager parties' stats.
+// second), routes the collected traffic, and folds the slowest board
+// clock into the eager parties' stats.
 func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
 	for _, j := range tm.lazy {
 		f := tm.cfg.Parties[j].Fed
-		if ls, ok := f.(cosim.LookaheadSink); ok {
+		if ls, ok := f.(cosim.LookaheadSink); ok && tm.cfg.Adaptive {
 			ls.SetGrantLookahead(tm.grantLookahead(j))
 		}
 		if err := tm.deliver(j); err != nil {
@@ -367,15 +371,14 @@ func (tm *TimeManager) recordElision() {
 
 // Run executes the federation to its horizon (or until a clock-driving
 // party halts, or StopEarly fires at a rendezvous) and finishes every
-// party. It generalizes the pairwise DriverSimulate schedule: eager
-// parties step every TSync quantum, boundaries are elided under the
-// shared hdlsim.ElideBoundary predicate, granted parties advance in one
-// piece at each rendezvous, and a final partial grant settles any
-// remainder. Cancelling ctx stops the run at the next quantum boundary
+// party. It generalizes the hdlsim.DriverSimulate schedule: eager
+// parties step every TSync quantum, boundaries may be elided under the
+// elideBoundary predicate, granted parties advance in one piece at each
+// rendezvous, and a final partial grant settles any remainder. Cancelling ctx stops the run at the next quantum boundary
 // with the context's cause.
 func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 	tsync := cosim.SimTime(tm.cfg.TSync)
-	maxQ := hdlsim.EffectiveMaxQuantum(tm.cfg.TSync, tm.cfg.MaxQuantum)
+	maxQ := effectiveMaxQuantum(tm.cfg.TSync, tm.cfg.MaxQuantum)
 	horizon := cosim.SimTime(tm.cfg.Horizon)
 	var cur, granted, boundary cosim.SimTime
 	for cur < horizon && !tm.eagerStopped() {
@@ -412,7 +415,7 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 			tm.stats.Quanta++
 			acc := uint64(cur - granted)
 			stopping := tm.cfg.StopEarly != nil && tm.cfg.StopEarly()
-			if tm.cfg.Adaptive && hdlsim.ElideBoundary(acc, tm.cfg.TSync, maxQ,
+			if tm.cfg.Adaptive && elideBoundary(acc, tm.cfg.TSync, maxQ,
 				tm.minLookahead(tm.lazy, -1), tm.minLookahead(tm.eager, -1),
 				tm.lazyTrafficPending(), stopping) {
 				boundary = cur
@@ -441,6 +444,43 @@ func (tm *TimeManager) Run(ctx context.Context) (Stats, error) {
 		}
 	}
 	return tm.finishStats(cur), firstErr
+}
+
+// defaultMaxQuantumFactor scales TSync into the default MaxQuantum cap.
+const defaultMaxQuantumFactor = 64
+
+// effectiveMaxQuantum resolves a Config.MaxQuantum value against its
+// TSync: 0 defaults to 64×TSync (saturating), and the result is clamped
+// up to at least TSync.
+func effectiveMaxQuantum(tsync, maxQuantum uint64) uint64 {
+	maxQ := maxQuantum
+	if maxQ == 0 {
+		maxQ = tsync * defaultMaxQuantumFactor
+		if maxQ/defaultMaxQuantumFactor != tsync { // overflow
+			maxQ = cosim.UnboundedLookahead
+		}
+	}
+	if maxQ < tsync {
+		maxQ = tsync
+	}
+	return maxQ
+}
+
+// elideBoundary is the conservative-elision predicate: a TSync boundary
+// may be skipped exactly when (a) no traffic awaits delivery to a granted
+// party — the a-posteriori check that guarantees bit-identical results
+// even when a lookahead promise was wrong, (b) the accumulated grant acc
+// stays within the cap with room for one more quantum, (c) acc is
+// strictly inside the granted parties' promised lookahead (strict,
+// because an event exactly at the boundary must see its own rendezvous),
+// (d) no eager party expects to emit within the next quantum, and (e)
+// the run is not stopping at this boundary.
+func elideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, trafficPending, stopping bool) bool {
+	return !trafficPending &&
+		acc <= maxQ-tsync &&
+		acc < peerLookahead &&
+		localLookahead >= tsync &&
+		!stopping
 }
 
 // finishStats stamps the final clock into the stats snapshot.

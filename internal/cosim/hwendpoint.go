@@ -62,8 +62,8 @@ type HWEndpoint struct {
 	// acknowledgement: how many grant ticks can elapse before anything
 	// becomes runnable board-side (see Msg.Lookahead).
 	lastLookahead uint64
-	// localLookahead is the device's interrupt-lookahead promise carried
-	// on the next grant, set by the driver loop via SetLocalLookahead.
+	// localLookahead is the federation's lookahead promise carried on the
+	// next grant, set through ProcFederate.SetGrantLookahead.
 	localLookahead uint64
 
 	// AckTimeout bounds every wait for board traffic (acknowledgements
@@ -217,34 +217,6 @@ func (ep *HWEndpoint) consumeAck() error {
 		ep.visible = append(ep.visible, conv)
 	}
 	return nil
-}
-
-// TrafficPending implements hdlsim.AdaptiveEndpoint: it reports whether
-// the simulator emitted any DATA or INT traffic since the last grant.
-// The adaptive driver loop must rendezvous at the next boundary when it
-// does, whatever the negotiated lookaheads said — the a-posteriori check
-// is what keeps elongation exactly equivalent to plain stepping.
-func (ep *HWEndpoint) TrafficPending() bool {
-	return ep.dataSent > 0 || ep.intSent > 0
-}
-
-// PeerLookahead implements hdlsim.AdaptiveEndpoint: the board's promise,
-// in grant ticks, from the most recent acknowledgement. In pipelined
-// mode the newest acknowledgement describes a quantum that is already
-// one grant stale, so the promise cannot be trusted and the endpoint
-// reports zero, disabling elongation.
-func (ep *HWEndpoint) PeerLookahead() uint64 {
-	if ep.mode == SyncPipelined {
-		return NoLookahead
-	}
-	return ep.lastLookahead
-}
-
-// SetLocalLookahead implements hdlsim.AdaptiveEndpoint: it records the
-// device's interrupt-lookahead promise (HDL cycles) to carry on the next
-// grant.
-func (ep *HWEndpoint) SetLocalLookahead(cycles uint64) {
-	ep.localLookahead = cycles
 }
 
 func toKernelMsg(m Msg) (hdlsim.DataMsg, error) {

@@ -15,10 +15,10 @@ import (
 // acknowledgement traffic flows back into the federation.
 //
 // Because the forwarded events hit the wire in the same channel order as
-// the pairwise path's mid-quantum sends (DATA/INT frames, then the CLOCK
-// grant carrying their drain counts), a K=2 federation produces
+// a plain driver loop's mid-quantum sends (DATA/INT frames, then the
+// CLOCK grant carrying their drain counts), a K=2 federation produces
 // byte-identical wire traffic to Simulator.DriverSimulate over an
-// HWEndpoint.
+// HWEndpoint at the same TSync.
 type ProcFederate struct {
 	name  string
 	ep    *HWEndpoint
@@ -35,10 +35,6 @@ func NewProcFederate(name string, ep *HWEndpoint) *ProcFederate {
 
 // Name implements Federate.
 func (f *ProcFederate) Name() string { return f.name }
-
-// Endpoint returns the underlying grant-side endpoint (metrics, board
-// time, observation).
-func (f *ProcFederate) Endpoint() *HWEndpoint { return f.ep }
 
 // Exchange implements Federate: inbound events are forwarded on the wire
 // immediately (the grant that follows carries their drain counts), and
@@ -79,7 +75,7 @@ func (f *ProcFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
 
 // BeginStep implements SplitStepper: it sends the CLOCK grant without
 // waiting, so the manager can launch all remote parties' quanta before
-// collecting any acknowledgement (the MultiHWEndpoint overlap).
+// collecting any acknowledgement.
 func (f *ProcFederate) BeginStep(until SimTime) error {
 	if until < f.cur {
 		return fmt.Errorf("cosim: %s: step backwards (%d < %d)", f.name, until, f.cur)
@@ -113,14 +109,20 @@ func (f *ProcFederate) Step(until SimTime) (SimTime, error) {
 	return f.cur, nil
 }
 
-// Lookahead implements Federate: the remote party's promise from its
-// most recent acknowledgement (NoLookahead in pipelined mode, where the
-// promise is a quantum stale).
-func (f *ProcFederate) Lookahead() uint64 { return f.ep.PeerLookahead() }
+// Lookahead implements Federate: the remote party's promise, in grant
+// ticks, from its most recent acknowledgement. In pipelined mode that
+// acknowledgement describes a quantum that is already one grant stale,
+// so the promise cannot be trusted and NoLookahead disables elongation.
+func (f *ProcFederate) Lookahead() uint64 {
+	if f.ep.mode == SyncPipelined {
+		return NoLookahead
+	}
+	return f.ep.lastLookahead
+}
 
 // SetGrantLookahead implements LookaheadSink: the federation's promise
 // carried on the next outgoing grant.
-func (f *ProcFederate) SetGrantLookahead(ticks uint64) { f.ep.SetLocalLookahead(ticks) }
+func (f *ProcFederate) SetGrantLookahead(ticks uint64) { f.ep.localLookahead = ticks }
 
 // Done implements Federate: a wire party never ends the run on its own.
 func (f *ProcFederate) Done() bool { return false }

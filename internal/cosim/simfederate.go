@@ -8,12 +8,12 @@ import (
 
 // SimFederate adapts an hdlsim kernel to the Federate interface: the
 // device engine of a federation. It drives the simulator with the same
-// per-cycle stepping core as the pairwise path (hdlsim.Driver), but
+// per-cycle stepping core as hdlsim.DriverSimulate (hdlsim.Driver), but
 // instead of a wire endpoint the kernel talks to an in-memory buffer —
 // outbound DATA/INT traffic accumulates until the next Exchange, and
 // inbound events delivered by Exchange become visible to the kernel at
-// the first cycle of its next Step, exactly when the pairwise endpoint
-// releases a quantum boundary's traffic.
+// the first cycle of its next Step, exactly when an HWEndpoint releases
+// a quantum boundary's traffic.
 type SimFederate struct {
 	name string
 	d    *hdlsim.Driver
@@ -22,7 +22,7 @@ type SimFederate struct {
 }
 
 // NewSimFederate elaborates the simulator and wraps it as a federate.
-// One grant tick equals one HDL clock cycle, as in the pairwise path.
+// One grant tick equals one HDL clock cycle, as in DriverSimulate.
 func NewSimFederate(name string, s *hdlsim.Simulator, clk *hdlsim.Clock) (*SimFederate, error) {
 	ep := &fedBufEndpoint{}
 	d, err := s.NewDriver(clk, ep)
@@ -84,17 +84,14 @@ func (f *SimFederate) Done() bool { return f.d.Stopped() }
 // Finish implements Federate; the kernel needs no shutdown handshake.
 func (f *SimFederate) Finish(at SimTime) error { return nil }
 
-// TrafficPending reports whether the kernel emitted traffic not yet
-// collected by Exchange — the manager's a-posteriori elision check.
-func (f *SimFederate) TrafficPending() bool { return len(f.ep.out) > 0 }
-
 // RecordSync implements SyncRecorder.
 func (f *SimFederate) RecordSync(peerCycle uint64) { f.d.RecordSync(peerCycle) }
 
 // RecordElision implements SyncRecorder.
 func (f *SimFederate) RecordElision() { f.d.RecordElision() }
 
-// Stats returns the pairwise-compatible driver counters.
+// Stats returns the kernel's driver-loop counters, including the
+// rendezvous schedule the time manager recorded.
 func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }
 
 // fedBufEndpoint is the in-memory hdlsim.DriverEndpoint behind a

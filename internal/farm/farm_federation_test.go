@@ -20,8 +20,9 @@ func TestFarmRunsFederatedSessions(t *testing.T) {
 	}
 	defer f.Close()
 
-	// Single wire board over the farm's TCP front door: the degenerate
-	// K=2 federation must match the solo pairwise run bit-for-bit.
+	// Single wire board over the farm's TCP front door: the explicit
+	// K=2 topology is the one a solo run uses, so they must match
+	// bit-for-bit.
 	spec := quickSpec(0)
 	spec.Transport = "tcp"
 	solo := soloRun(t, spec)

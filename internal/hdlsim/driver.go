@@ -233,8 +233,9 @@ const UnboundedLookahead = ^uint64(0)
 // now, before the model can next raise an interrupt or post data to the
 // board (0 when one may be imminent, UnboundedLookahead when nothing is
 // scheduled). The hook is purely advisory — elongation correctness rests
-// on the endpoint's a-posteriori TrafficPending check — so a model that
-// breaks its promise costs one extra rendezvous, never wrong results.
+// on the federation time manager's a-posteriori traffic check — so a
+// model that breaks its promise costs one extra rendezvous, never wrong
+// results.
 // A nil hook (the default) reports UnboundedLookahead.
 func (s *Simulator) SetInterruptLookahead(fn func() uint64) {
 	s.intLookahead = fn
@@ -246,26 +247,6 @@ func (s *Simulator) interruptLookahead() uint64 {
 		return UnboundedLookahead
 	}
 	return s.intLookahead()
-}
-
-// AdaptiveEndpoint is the optional extension of DriverEndpoint that a
-// transport endpoint implements to support adaptive quantum elongation
-// (cosim.HWEndpoint does). DriverSimulate type-asserts for it when
-// DriverConfig.Adaptive is set and falls back to plain TSync stepping when
-// the endpoint does not provide it.
-type AdaptiveEndpoint interface {
-	DriverEndpoint
-	// TrafficPending reports whether any DATA or INT message was sent
-	// since the last grant. A boundary with pending traffic must
-	// rendezvous: the traffic is announced by the very next grant.
-	TrafficPending() bool
-	// PeerLookahead returns the board's promise, in grant ticks, from the
-	// most recent acknowledgement: how many ticks can elapse before
-	// anything board-side can become runnable without simulator input.
-	PeerLookahead() uint64
-	// SetLocalLookahead records the device's interrupt-lookahead promise
-	// (clock cycles) to be carried on the next grant.
-	SetLocalLookahead(cycles uint64)
 }
 
 // routeData dispatches one board→HW DATA message: writes land in the
@@ -322,8 +303,9 @@ func (s *Simulator) findDriverOut(addr uint32) *DriverOut {
 // DriverSimulate: per cycle it (1) checks the DATA port and performs the
 // required read/write actions, (2) accomplishes a standard simulation
 // cycle, and (3) checks the interrupt signals. Synchronization policy —
-// when to rendezvous, when to elide a boundary — is the caller's job;
-// DriverSimulate is the canonical single-link policy loop on top.
+// when to rendezvous, when to elide a boundary — is the caller's job:
+// DriverSimulate is the plain every-TSync loop on top, and the federation
+// time manager (internal/cosim/federation) adds lookahead elision.
 type Driver struct {
 	s   *Simulator
 	clk *Clock
@@ -393,9 +375,6 @@ func (d *Driver) Cycle() error {
 // Stopped reports whether the simulator ended the run (sc_stop).
 func (d *Driver) Stopped() bool { return d.s.stopped }
 
-// Cycles returns the number of cycles stepped so far.
-func (d *Driver) Cycles() uint64 { return d.st.Cycles }
-
 // Stats returns the driver-loop counters accumulated so far. SyncEvents,
 // SyncsElided and LastBoardCy belong to the synchronization policy, so
 // when a Driver is stepped externally they stay zero until the
@@ -417,43 +396,6 @@ func (d *Driver) RecordSync(boardCycle uint64) {
 // elided.
 func (d *Driver) RecordElision() { d.st.SyncsElided++ }
 
-// EffectiveMaxQuantum resolves a DriverConfig.MaxQuantum value against
-// its TSync: 0 defaults to 64×TSync (saturating), and the result is
-// clamped up to at least TSync. The federation time manager applies the
-// same resolution so elongation caps agree bit-for-bit with
-// DriverSimulate.
-func EffectiveMaxQuantum(tsync, maxQuantum uint64) uint64 {
-	maxQ := maxQuantum
-	if maxQ == 0 {
-		maxQ = tsync * defaultMaxQuantumFactor
-		if maxQ/defaultMaxQuantumFactor != tsync { // overflow
-			maxQ = UnboundedLookahead
-		}
-	}
-	if maxQ < tsync {
-		maxQ = tsync
-	}
-	return maxQ
-}
-
-// ElideBoundary is the conservative-elision predicate shared by
-// DriverSimulate and the federation time manager: a TSync boundary may
-// be skipped exactly when (a) no traffic was sent since the last grant —
-// the a-posteriori check that guarantees bit-identical results even when
-// a lookahead promise was wrong, (b) the accumulated grant acc stays
-// within the cap with room for one more quantum, (c) acc is strictly
-// inside the peer's promised lookahead (strict, because an event exactly
-// at the boundary must see its own rendezvous), (d) the local model does
-// not expect to interrupt within the next quantum, and (e) the run is
-// not stopping at this boundary.
-func ElideBoundary(acc, tsync, maxQ, peerLookahead, localLookahead uint64, trafficPending, stopping bool) bool {
-	return !trafficPending &&
-		acc <= maxQ-tsync &&
-		acc < peerLookahead &&
-		localLookahead >= tsync &&
-		!stopping
-}
-
 // DriverConfig parameterizes DriverSimulate.
 type DriverConfig struct {
 	// TSync is the synchronization interval in clock cycles: one CLOCK-port
@@ -464,26 +406,9 @@ type DriverConfig struct {
 	// TotalCycles bounds the co-simulation length.
 	TotalCycles uint64
 	// StopEarly, if non-nil, is polled at every sync boundary; returning
-	// true ends the co-simulation before TotalCycles. It must be a pure
-	// predicate of simulation state: with Adaptive set it is also polled
-	// at elided boundaries so the run ends at the same cycle it would
-	// have without elongation.
+	// true ends the co-simulation before TotalCycles.
 	StopEarly func() bool
-	// Adaptive enables lookahead-negotiated quantum elongation: a TSync
-	// boundary is skipped (no CLOCK rendezvous) when no traffic was sent
-	// since the last grant, the accumulated grant stays strictly inside
-	// the board's promised lookahead, and the device model does not
-	// expect to interrupt within the next TSync cycles. Requires an
-	// endpoint implementing AdaptiveEndpoint; silently ignored otherwise.
-	// Elongated runs produce bit-identical simulated-time results.
-	Adaptive bool
-	// MaxQuantum caps the accumulated elongated quantum in clock cycles.
-	// 0 means 64×TSync. It is clamped up to at least TSync.
-	MaxQuantum uint64
 }
-
-// defaultMaxQuantumFactor scales TSync into the default MaxQuantum cap.
-const defaultMaxQuantumFactor = 64
 
 // DriverStats reports what DriverSimulate did.
 type DriverStats struct {
@@ -492,7 +417,7 @@ type DriverStats struct {
 	DataIn      uint64 // board→HW DATA messages routed
 	DataOut     uint64 // HW→board DATA messages sent (posted + read resps)
 	Interrupts  uint64 // INT-port packets sent
-	SyncsElided uint64 // TSync boundaries skipped by adaptive elongation
+	SyncsElided uint64 // TSync boundaries the federation manager elided
 	LastBoardCy uint64 // board local cycle at the final sync
 }
 
@@ -511,52 +436,27 @@ func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConf
 	if err != nil {
 		return DriverStats{}, err
 	}
-	aep, adaptive := ep.(AdaptiveEndpoint)
-	adaptive = adaptive && cfg.Adaptive
-	maxQ := EffectiveMaxQuantum(cfg.TSync, cfg.MaxQuantum)
-	// pending accumulates the ticks of boundaries elided by adaptive
-	// elongation; they are granted in one piece at the next rendezvous.
-	pending := uint64(0)
 	sinceSync := uint64(0)
 	for d.st.Cycles < cfg.TotalCycles && !s.stopped {
 		if err := d.Cycle(); err != nil {
 			return d.st, err
 		}
 		sinceSync++
-		// CLOCK-port synchronization every TSync cycles. With adaptive
-		// elongation a boundary may be elided (see ElideBoundary): the
-		// ticks accumulate in `pending` and are granted in one piece
-		// later.
+		// CLOCK-port synchronization every TSync cycles.
 		if sinceSync >= cfg.TSync {
-			acc := pending + sinceSync
-			elide := adaptive && ElideBoundary(acc, cfg.TSync, maxQ,
-				aep.PeerLookahead(), s.interruptLookahead(),
-				aep.TrafficPending(), cfg.StopEarly != nil && cfg.StopEarly())
-			if elide {
-				pending = acc
-				sinceSync = 0
-				d.st.SyncsElided++
-			} else {
-				if adaptive {
-					aep.SetLocalLookahead(s.interruptLookahead())
-				}
-				bc, err := ep.Sync(acc, d.st.Cycles)
-				if err != nil {
-					return d.st, err
-				}
-				d.RecordSync(bc)
-				pending, sinceSync = 0, 0
-				if cfg.StopEarly != nil && cfg.StopEarly() {
-					break
-				}
+			bc, err := ep.Sync(sinceSync, d.st.Cycles)
+			if err != nil {
+				return d.st, err
+			}
+			d.RecordSync(bc)
+			sinceSync = 0
+			if cfg.StopEarly != nil && cfg.StopEarly() {
+				break
 			}
 		}
 	}
-	if pending+sinceSync > 0 {
-		if adaptive {
-			aep.SetLocalLookahead(s.interruptLookahead())
-		}
-		bc, err := ep.Sync(pending+sinceSync, d.st.Cycles)
+	if sinceSync > 0 {
+		bc, err := ep.Sync(sinceSync, d.st.Cycles)
 		if err != nil {
 			return d.st, err
 		}

@@ -32,7 +32,8 @@ func PulseIRQ(p int) uint8 { return uint8(PulseIRQ0 + p) }
 // testbench: one router HDL kernel serving Boards virtual boards (one
 // checksum engine each), plus optional auxiliary pulse-device kernels —
 // all coordinated by the hierarchical time manager
-// (internal/cosim/federation) instead of the fixed pairwise loop.
+// (internal/cosim/federation). Boards: 1 is the paper's two-party
+// topology, what Run uses without WithFederation.
 type FederationConfig struct {
 	// Boards is the number of board parties; board i serves checksum
 	// engine i through its own link. Must be ≥ 1.
@@ -122,16 +123,26 @@ func newPulseDevice(p int, period uint64, clockPeriod sim.Time) *pulseDevice {
 	return d
 }
 
-// runFederation executes a federated topology; it is the N-party
-// analogue of runOnTransports. The router kernel (and any pulse kernels)
-// become eager cosim.SimFederate parties; each board becomes a granted
-// party — in-process (board.Federate) or behind its own transport stack
-// (cosim.ProcFederate) — and the time manager owns the quantum clock.
-// Cancelling ctx tears the wire stacks down and stops the manager at the
-// next boundary; the context's cause becomes the returned error.
+// runFederation is the core of every Run entry point: it executes the
+// testbench under the federation time manager, with rc.Federation as the
+// topology (nil means one wire board). The router kernel (and any pulse
+// kernels) become eager cosim.SimFederate parties; each board becomes a
+// granted party — in-process (board.Federate) or behind its own
+// transport stack (cosim.ProcFederate) on its own goroutine — and the
+// time manager owns the quantum clock. It takes ownership of tr, which
+// fits exactly one wire board link. Cancelling ctx tears the wire stacks
+// down and stops the manager at the next boundary; the context's cause
+// becomes the returned error.
 func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res FederationResult, err error) {
-	fc := *rc.Federation
+	fc := FederationConfig{Boards: 1}
+	if rc.Federation != nil {
+		fc = *rc.Federation
+	}
 	res = FederationResult{MultiRunResult: MultiRunResult{RunResult: RunResult{TSync: rc.TSync, TransportKind: rc.Transport, Mode: rc.Mode}}}
+	if (tr.HW == nil) != (tr.Board == nil) {
+		closeBoth(tr)
+		return res, errHalfTransports
+	}
 	if fc.InProcBoards {
 		res.TransportKind = TransportInProc
 	}
@@ -151,8 +162,8 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 		fc.PulsePeriod = 4 * rc.TSync
 	}
 	if rc.Obs != nil {
-		// The same run-level counters runOnTransports keeps, so a farm or
-		// dashboard sees federated runs in the usual series.
+		// Handles are resolved once up front; a run starts and finishes
+		// exactly once, so none of these belong on a struct.
 		started := rc.Obs.Counter("router_runs_started_total")
 		started.Inc()
 		active := rc.Obs.Gauge("router_active_runs")
@@ -210,6 +221,7 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 	var procFeds []*cosim.ProcFederate
 	var boardFeds []*board.Federate
 	var closers []func() error
+	var link0 cosim.Transport // board 0's hw-side stack, for BatchStats
 	pulseSeen := make([]uint64, fc.PulseDevices)
 	boardDone := make(chan error, fc.Boards)
 	wired := 0
@@ -288,11 +300,20 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 				hwT = cosim.NewTraceTransport(hwT, rc.Trace)
 				boardT = cosim.NewTraceTransport(boardT, rc.Trace)
 			}
+			if i == 0 {
+				link0 = hwT
+			}
 			ep := cosim.NewHWEndpoint(hwT, rc.Mode)
 			bep := cosim.NewBoardEndpoint(boardT)
 			if rc.Obs != nil {
-				ep.ObserveAs(rc.Obs, name)
-				bep.ObserveAs(rc.Obs, name+":board")
+				if fc.Boards == 1 {
+					// The two-party topology keeps the plain side labels.
+					ep.Observe(rc.Obs)
+					bep.Observe(rc.Obs)
+				} else {
+					ep.ObserveAs(rc.Obs, name)
+					bep.ObserveAs(rc.Obs, name+":board")
+				}
 			}
 			bs.Dev.Attach(bep)
 			pf := cosim.NewProcFederate(name, ep)
@@ -393,6 +414,7 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 	}
 	if len(procFeds) > 0 {
 		res.Link = *procFeds[0].Metrics()
+		res.Batch = cosim.BatchStatsOf(link0)
 	}
 	for _, pd := range pulses {
 		res.PulseSent = append(res.PulseSent, pd.count)

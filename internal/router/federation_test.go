@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cosim"
+	"repro/internal/obs"
 )
 
 // fedTransports lists the transport kinds the federation matrix covers
@@ -18,81 +19,57 @@ func fedTransports() []TransportKind {
 }
 
 // TestFederationPairwiseBitIdentity is the K=2 acceptance gate of the
-// time-manager redesign: a one-board federation must replicate the
-// pairwise run exactly — same virtual-time fingerprint AND the same
-// rendezvous schedule (SyncEvents + SyncsElided) — on every transport,
-// with and without adaptive elongation.
+// time-manager redesign: a one-board federation — RunFederation, and
+// router.Run, which is one — must replicate the committed pairwise
+// goldens exactly: the same virtual-time fingerprint AND the same
+// rendezvous schedule (SyncEvents, SyncsElided, LastBoardCy), on every
+// transport, alternating, pipelined and with adaptive elongation.
 func TestFederationPairwiseBitIdentity(t *testing.T) {
+	goldens := loadGoldens(t)
 	for _, kind := range fedTransports() {
-		for _, adaptive := range []bool{false, true} {
-			name := kind.String()
-			if adaptive {
-				name += "/adaptive"
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, c := range goldenCases(kind) {
+				t.Run(c.sched, func(t *testing.T) {
+					fed, err := RunFederation(context.Background(), FederationConfig{Boards: 1}, WithConfig(c.rc))
+					if err != nil {
+						t.Fatalf("federation: %v", err)
+					}
+					run, err := Run(context.Background(), Transports{}, WithConfig(c.rc))
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					for _, res := range []RunResult{fed.RunResult, run} {
+						checkGolden(t, goldens, c.name(), res)
+						if c.rc.Adaptive && res.HW.SyncsElided == 0 {
+							t.Error("adaptive run elided nothing — the negotiation is not reaching the manager")
+						}
+						if res.TransportKind != kind {
+							t.Errorf("reported transport %v, want %v", res.TransportKind, kind)
+						}
+						if res.Conservation != nil {
+							t.Errorf("conservation: %v", res.Conservation)
+						}
+					}
+				})
 			}
-			t.Run(name, func(t *testing.T) {
-				rc := DefaultRunConfig()
-				rc.TB = smallTB()
-				rc.TSync = 200
-				rc.Transport = kind
-				rc.Adaptive = adaptive
-				if adaptive {
-					// Sparser traffic leaves quiet boundaries for the
-					// negotiation to elide; the busy default never does.
-					rc.TB.Period = 2000
-				}
-
-				pair, err := Run(context.Background(), Transports{}, WithConfig(rc))
-				if err != nil {
-					t.Fatalf("pairwise: %v", err)
-				}
-				fed, err := RunFederation(context.Background(), FederationConfig{Boards: 1}, WithConfig(rc))
-				if err != nil {
-					t.Fatalf("federation: %v", err)
-				}
-
-				if got, want := fingerprint(fed.RunResult), fingerprint(pair); got != want {
-					t.Errorf("virtual-time fingerprint diverged:\npair %+v\nfed  %+v", want, got)
-				}
-				if fed.HW.SyncEvents != pair.HW.SyncEvents {
-					t.Errorf("SyncEvents: pair %d, federation %d", pair.HW.SyncEvents, fed.HW.SyncEvents)
-				}
-				if fed.HW.SyncsElided != pair.HW.SyncsElided {
-					t.Errorf("SyncsElided: pair %d, federation %d", pair.HW.SyncsElided, fed.HW.SyncsElided)
-				}
-				if adaptive && fed.HW.SyncsElided == 0 {
-					t.Error("adaptive federation elided nothing — the negotiation is not reaching the manager")
-				}
-				if fed.TransportKind != kind {
-					t.Errorf("reported transport %v, want %v", fed.TransportKind, kind)
-				}
-				if fed.Conservation != nil {
-					t.Errorf("conservation: %v", fed.Conservation)
-				}
-			})
-		}
+		})
 	}
 }
 
 // TestFederationInProcBoardIdentity: hosting the board in-process as a
 // board.Federate (no wire, no goroutine) must still match the pairwise
-// run's virtual-time results — the grant application order is the wire
-// contract, not a transport artifact.
+// golden — the grant application order is the wire contract, not a
+// transport artifact.
 func TestFederationInProcBoardIdentity(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.TB = smallTB()
 	rc.TSync = 200
 
-	pair, err := Run(context.Background(), Transports{}, WithConfig(rc))
-	if err != nil {
-		t.Fatalf("pairwise: %v", err)
-	}
 	fed, err := RunFederation(context.Background(), FederationConfig{Boards: 1, InProcBoards: true}, WithConfig(rc))
 	if err != nil {
 		t.Fatalf("federation: %v", err)
 	}
-	if got, want := fingerprint(fed.RunResult), fingerprint(pair); got != want {
-		t.Errorf("virtual-time fingerprint diverged:\npair %+v\nfed  %+v", want, got)
-	}
+	checkGolden(t, loadGoldens(t), "inproc/alternating", fed.RunResult)
 	if fed.TransportKind != TransportInProc {
 		t.Errorf("in-process federation reported transport %v", fed.TransportKind)
 	}
@@ -227,17 +204,75 @@ func TestRunDispatchesFederation(t *testing.T) {
 	rc.TB = smallTB()
 	rc.TSync = 200
 
-	direct, err := Run(context.Background(), Transports{}, WithConfig(rc))
-	if err != nil {
-		t.Fatalf("pairwise: %v", err)
-	}
 	viaOption, err := Run(context.Background(), Transports{}, WithConfig(rc),
 		WithFederation(FederationConfig{Boards: 1}))
 	if err != nil {
 		t.Fatalf("federated Run: %v", err)
 	}
-	if fingerprint(direct) != fingerprint(viaOption) {
-		t.Errorf("WithFederation result diverged from pairwise:\npair %+v\nfed  %+v",
-			fingerprint(direct), fingerprint(viaOption))
+	checkGolden(t, loadGoldens(t), "inproc/alternating", viaOption)
+}
+
+// TestFederationReportsBatchStats: a federated batched run reports the
+// wire-frame coalescing counters of board 0's link in RunResult.Batch,
+// through Run with WithFederation and through RunFederation alike.
+func TestFederationReportsBatchStats(t *testing.T) {
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 200
+	rc.Batch = true
+
+	viaRun, err := Run(context.Background(), Transports{}, WithConfig(rc),
+		WithFederation(FederationConfig{Boards: 1}))
+	if err != nil {
+		t.Fatalf("federated Run: %v", err)
+	}
+	fed, err := RunFederation(context.Background(), FederationConfig{Boards: 2}, WithConfig(rc))
+	if err != nil {
+		t.Fatalf("RunFederation: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		res  RunResult
+	}{{"Run", viaRun}, {"RunFederation", fed.RunResult}} {
+		if c.res.Batch.Flushes == 0 || c.res.Batch.Batched == 0 {
+			t.Errorf("%s reported batch stats %+v, want MTBatch flushes", c.name, c.res.Batch)
+		}
+	}
+}
+
+// TestFederationMetricSides: a one-board run keeps the two-sided
+// "hw"/"board" endpoint labels every dashboard knows, while a multi-board
+// federation labels each link by its board party.
+func TestFederationMetricSides(t *testing.T) {
+	syncs := func(reg *obs.Registry, side string) (uint64, bool) {
+		n, ok := reg.Snapshot().Counters[obs.Name(cosim.MetricSyncEvents, "side", side)]
+		return n, ok
+	}
+	rc := DefaultRunConfig()
+	rc.TB = smallTB()
+	rc.TSync = 200
+
+	one := obs.NewRegistry()
+	res, err := Run(context.Background(), Transports{}, WithConfig(rc), WithObs(one))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, side := range []string{"hw", "board"} {
+		if n, _ := syncs(one, side); n != res.HW.SyncEvents {
+			t.Errorf("one-board run: side=%q counted %d rendezvous, want %d", side, n, res.HW.SyncEvents)
+		}
+	}
+
+	two := obs.NewRegistry()
+	if _, err := RunFederation(context.Background(), FederationConfig{Boards: 2}, WithConfig(rc), WithObs(two)); err != nil {
+		t.Fatalf("RunFederation: %v", err)
+	}
+	for _, side := range []string{"board0", "board0:board", "board1", "board1:board"} {
+		if n, _ := syncs(two, side); n == 0 {
+			t.Errorf("two-board run: no rendezvous counted under side=%q", side)
+		}
+	}
+	if _, ok := syncs(two, "hw"); ok {
+		t.Error(`two-board run published side="hw"; each link should carry its board's name`)
 	}
 }

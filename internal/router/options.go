@@ -77,11 +77,11 @@ func WithStackOptions(opts ...cosim.StackOption) Option {
 	}
 }
 
-// WithFederation routes the run through the hierarchical time manager
-// (internal/cosim/federation) with the given N-party topology. All other
-// options keep their meaning — TSync, Adaptive/MaxQuantum, Mode,
-// Transport, the stack fields and Obs apply to every wire board link —
-// except TB.Engines, which is forced to the board count. Run then
+// WithFederation sets the N-party topology the hierarchical time manager
+// (internal/cosim/federation) runs; without it a run has one wire board.
+// All other options keep their meaning — TSync, Adaptive/MaxQuantum,
+// Mode, Transport, the stack fields and Obs apply to every wire board
+// link — except TB.Engines, which is forced to the board count. Run then
 // returns the embedded RunResult of the federated run; use RunFederation
 // for the full FederationResult.
 func WithFederation(fc FederationConfig) Option {
@@ -109,9 +109,10 @@ func WithBoardConfig(bc board.Config) Option { return func(c *RunConfig) { c.Boa
 func WithAppConfig(ac AppConfig) Option { return func(c *RunConfig) { c.AppCfg = ac } }
 
 // Run is the co-simulation entry point: it executes the full paper
-// testbench — the HDL side under DriverSimulate on the calling goroutine,
-// the virtual board on a second goroutine — configured by applying opts
-// to DefaultRunConfig.
+// testbench, configured by applying opts to DefaultRunConfig, under the
+// federation time manager — the HDL kernel on the calling goroutine, the
+// virtual board on a second goroutine. Without WithFederation the run is
+// a one-board wire federation, the paper's two-party topology.
 //
 // tr supplies the base transports. The zero value establishes a private
 // link per the configured TransportKind; a populated pair (e.g. routed
@@ -125,43 +126,8 @@ func Run(ctx context.Context, tr Transports, opts ...Option) (RunResult, error) 
 	for _, o := range opts {
 		o(&rc)
 	}
-	res := RunResult{TSync: rc.TSync, TransportKind: rc.Transport, Mode: rc.Mode}
-	if (tr.HW == nil) != (tr.Board == nil) {
-		closeBoth(tr)
-		return res, errHalfTransports
-	}
-	if rc.Federation != nil {
-		fres, err := runFederation(ctx, rc, tr)
-		return fres.RunResult, err
-	}
-	if tr.HW == nil {
-		if err := rc.Validate(); err != nil {
-			return res, err
-		}
-		switch rc.Transport {
-		case TransportTCP:
-			var err error
-			tr.HW, tr.Board, err = dialSelf()
-			if err != nil {
-				return res, err
-			}
-		case TransportUDS:
-			var err error
-			tr.HW, tr.Board, err = dialSelfUDS()
-			if err != nil {
-				return res, err
-			}
-		case TransportShm:
-			var err error
-			tr.HW, tr.Board, err = cosim.NewShmPair(cosim.ShmConfig{})
-			if err != nil {
-				return res, err
-			}
-		default:
-			tr.HW, tr.Board = cosim.NewInProcPair(4096)
-		}
-	}
-	return runOnTransports(ctx, rc, tr.HW, tr.Board)
+	res, err := runFederation(ctx, rc, tr)
+	return res.RunResult, err
 }
 
 func closeBoth(tr Transports) {

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -98,7 +97,7 @@ type RunConfig struct {
 	// Scrape it (see internal/obs) while the run is alive.
 	Obs *obs.Registry
 	// Adaptive enables lookahead-negotiated quantum elongation (see
-	// hdlsim.DriverConfig.Adaptive): the board's acknowledgements and the
+	// federation.Config.Adaptive): the board's acknowledgements and the
 	// device's grants carry lookahead promises, and traffic-free TSync
 	// boundaries inside both promises are skipped. Simulated-time results
 	// are bit-identical; only the rendezvous count changes. Incompatible
@@ -115,9 +114,9 @@ type RunConfig struct {
 	// Trace, when non-nil, logs every protocol message of both sides (see
 	// cosim.TraceTransport).
 	Trace io.Writer
-	// Federation, when non-nil, routes the run through the hierarchical
-	// time manager with the given N-party topology (see WithFederation);
-	// nil keeps the pairwise fast path.
+	// Federation, when non-nil, gives the N-party topology the
+	// hierarchical time manager runs (see WithFederation); nil runs the
+	// paper's two-party topology, one wire board.
 	Federation *FederationConfig
 }
 
@@ -276,141 +275,6 @@ func acceptAndDial(ln *cosim.Listener) (hwT, boardT cosim.Transport, err error) 
 		return nil, nil, a.err
 	}
 	return a.tr, boardT, nil
-}
-
-// runOnTransports is the core of every Run entry point: it executes the
-// testbench over the given base transports — the HDL side under
-// DriverSimulate on the calling goroutine, the virtual board on a second
-// goroutine. It takes ownership of both transports (they are closed by
-// the time it returns) and stacks the config's decorator layers
-// (LinkDelay, Chaos, Resilience, Batch) on each side with
-// cosim.BuildStack. Cancelling ctx tears the stacks down, unblocking
-// both sides; the context's cause becomes the returned error.
-func runOnTransports(ctx context.Context, rc RunConfig, hwBase, boardBase cosim.Transport) (result RunResult, err error) {
-	res := RunResult{TSync: rc.TSync, TransportKind: rc.Transport, Mode: rc.Mode}
-	// Report the transport actually carrying frames, not the configured
-	// default: caller-provided transports (a farm mux link, a test's
-	// in-process pair) may differ from rc.Transport.
-	if k, ok := baseTransportKind(hwBase); ok {
-		res.TransportKind = k
-	}
-	if err := rc.Validate(); err != nil {
-		hwBase.Close()
-		boardBase.Close()
-		return res, err
-	}
-	if rc.Obs != nil {
-		// Handles are resolved once up front; a run starts and finishes
-		// exactly once, so none of these belong on a struct.
-		started := rc.Obs.Counter("router_runs_started_total")
-		started.Inc()
-		active := rc.Obs.Gauge("router_active_runs")
-		active.Add(1)
-		failed := rc.Obs.Counter("router_runs_failed_total")
-		completed := rc.Obs.Counter("router_runs_completed_total")
-		lastAccuracy := rc.Obs.Gauge("router_last_accuracy_pct")
-		lastWall := rc.Obs.Gauge("router_last_wall_seconds")
-		lastGenerated := rc.Obs.Gauge("router_last_generated_packets")
-		lastSyncEvents := rc.Obs.Gauge("router_last_sync_events")
-		lastTSync := rc.Obs.Gauge("router_last_tsync")
-		defer func() {
-			active.Add(-1)
-			if err != nil {
-				failed.Inc()
-				return
-			}
-			completed.Inc()
-			lastAccuracy.Set(100 * result.Accuracy)
-			lastWall.Set(result.Wall.Seconds())
-			lastGenerated.Set(float64(result.Generated))
-			lastSyncEvents.Set(float64(result.HW.SyncEvents))
-			lastTSync.Set(float64(result.TSync))
-		}()
-	}
-	tb := BuildTestbench(rc.TB)
-	bs, err := BuildBoardSide(rc.BoardCfg, rc.AppCfg)
-	if err != nil {
-		hwBase.Close()
-		boardBase.Close()
-		return res, err
-	}
-
-	stack := rc.stack()
-	hwT, hwClose := cosim.BuildStack(hwBase, stack)
-	boardT, boardClose := cosim.BuildStack(boardBase, stack.Peer())
-	defer hwClose()
-	defer boardClose()
-	if rc.Trace != nil {
-		hwT = cosim.NewTraceTransport(hwT, rc.Trace)
-		boardT = cosim.NewTraceTransport(boardT, rc.Trace)
-	}
-
-	// Context cancellation tears both stacks down, which unblocks any
-	// side waiting on the link with ErrClosed; the cause is reported as
-	// the run error below.
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			hwClose()
-			boardClose()
-		case <-watchDone:
-		}
-	}()
-	defer func() {
-		if err != nil && ctx.Err() != nil {
-			err = fmt.Errorf("router: run canceled: %w", context.Cause(ctx))
-		}
-	}()
-
-	hw := cosim.NewHWEndpoint(hwT, rc.Mode)
-	bep := cosim.NewBoardEndpoint(boardT)
-	if rc.Obs != nil {
-		hw.Observe(rc.Obs)
-		bep.Observe(rc.Obs)
-	}
-	bs.Dev.Attach(bep)
-
-	boardDone := make(chan error, 1)
-	go func() { boardDone <- bs.Board.Run(bep) }()
-
-	start := time.Now()
-	hwStats, err := tb.Sim.DriverSimulate(tb.Clk, hw, hdlsim.DriverConfig{
-		TSync:       rc.TSync,
-		TotalCycles: rc.budget(),
-		StopEarly:   tb.Finished,
-		Adaptive:    rc.Adaptive,
-		MaxQuantum:  rc.MaxQuantum,
-	})
-	res.Wall = time.Since(start)
-	if err != nil {
-		hwT.Close()
-		<-boardDone
-		return res, fmt.Errorf("router: hw side: %w", err)
-	}
-	if err := <-boardDone; err != nil {
-		return res, fmt.Errorf("router: board side: %w", err)
-	}
-
-	res.HW = hwStats
-	res.Router = tb.Router.Stats()
-	res.Consumers = tb.ConsumerTotals()
-	res.App = bs.App.Stats()
-	res.Board = bs.Board.Stats()
-	res.Link = *hw.Metrics()
-	res.Batch = cosim.BatchStatsOf(hwT)
-	res.Generated = tb.Generated()
-	res.SimCycles = hwStats.Cycles
-	res.BoardCycles, res.BoardSWTicks = hw.BoardTime()
-	if res.Generated > 0 {
-		res.Accuracy = float64(res.Router.Forwarded) / float64(res.Generated)
-	}
-	res.Conservation = tb.CheckConservation(res.App.Overruns, res.App.MboxDrops)
-	return res, nil
 }
 
 // RunLoopback executes the same HDL workload against the instant local

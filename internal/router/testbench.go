@@ -92,9 +92,9 @@ func BuildTestbench(cfg TBConfig) *Testbench {
 	// new packets arrive on the producers' closed-form schedule, so the
 	// next possible interrupt is bounded by the earliest upcoming emission
 	// (minus a small posting-pipeline slack). Purely advisory — grant
-	// elongation stays bit-exact even if this bound were wrong (see
-	// hdlsim.DriverSimulate) — but it keeps grants short when an interrupt
-	// is imminent.
+	// elongation stays bit-exact even if this bound were wrong (see the
+	// federation time manager's traffic check) — but it keeps grants
+	// short when an interrupt is imminent.
 	const postSlack = 4
 	s.SetInterruptLookahead(func() uint64 {
 		if r.IRQPending() {
