@@ -17,9 +17,13 @@ SHM_SPEEDUP ?= Transport/Fig5/N=20/tcp:Transport/Fig5/N=20/shm:3
 STATICCHECK_MOD := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive staticcheck govulncheck cosim-lint lint lint-fix-check ci
+.PHONY: all fmt-check vet build test race fuzz-smoke farm-soak transport-matrix federation-matrix fleet-matrix shm-smoke fleet-smoke bench-json bench-gate bench-adaptive staticcheck govulncheck cosim-lint lint lint-fix-check ci
 
 all: build
+
+# fmt-check fails when any Go file is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -137,4 +141,4 @@ lint: cosim-lint
 		echo "lint: govulncheck unavailable (offline); skipped"; \
 	fi
 
-ci: vet build race fuzz-smoke farm-soak bench-adaptive lint
+ci: fmt-check vet build race fuzz-smoke farm-soak bench-adaptive lint

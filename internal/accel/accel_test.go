@@ -21,8 +21,14 @@ func (f *fakeEP) PollData() []hdlsim.DataMsg {
 	f.pending = nil
 	return p
 }
-func (f *fakeEP) SendData(m hdlsim.DataMsg) error  { f.out = append(f.out, m); return nil }
-func (f *fakeEP) SendInterrupt(irq uint8) error    { f.ints = append(f.ints, irq); return nil }
+func (f *fakeEP) SendData(m hdlsim.DataMsg) error {
+	if m.Kind == hdlsim.DataInterrupt {
+		f.ints = append(f.ints, m.IRQ)
+	} else {
+		f.out = append(f.out, m)
+	}
+	return nil
+}
 func (f *fakeEP) Sync(t, h uint64) (uint64, error) { return h, nil }
 func (f *fakeEP) Finish(h uint64) error            { return nil }
 

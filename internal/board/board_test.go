@@ -163,7 +163,7 @@ func TestRemoteDevInterruptDelivery(t *testing.T) {
 	if err := hs.hw.SendData(toDM(0, []uint32{0x55})); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.hw.SendInterrupt(3); err != nil {
+	if err := hs.hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hs.hw.Sync(10, 10); err != nil {

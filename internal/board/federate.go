@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // Federate adapts a Board to cosim.Federate: the in-process board engine
@@ -24,7 +25,7 @@ type Federate struct {
 	reads  []cosim.RegBlock
 	irqs   []uint8
 
-	out []cosim.FedMsg // reused collection buffer
+	out []hdlsim.DataMsg // reused collection buffer
 }
 
 // NewFederate wraps the board as a federate and attaches its local link
@@ -47,23 +48,20 @@ func (f *Federate) Name() string { return f.name }
 // Exchange implements cosim.Federate: inbound events are staged for the
 // next Step, outbound posted traffic since the last call is returned.
 // The returned slice is reused by the next Exchange.
-func (f *Federate) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
+func (f *Federate) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	for _, m := range in {
 		switch m.Kind {
-		case cosim.FedWrite:
+		case hdlsim.DataWrite:
 			f.writes = append(f.writes, cosim.RegBlock{Addr: m.Addr, Words: m.Words})
-		case cosim.FedReadResp:
+		case hdlsim.DataReadResp:
 			f.reads = append(f.reads, cosim.RegBlock{Addr: m.Addr, Words: m.Words})
-		case cosim.FedInt:
+		case hdlsim.DataInterrupt:
 			f.irqs = append(f.irqs, m.IRQ)
 		default:
 			return nil, fmt.Errorf("board: %s: board federate cannot accept %v", f.name, m.Kind)
 		}
 	}
-	f.out = f.out[:0]
-	for _, p := range f.link.posted {
-		f.out = append(f.out, p)
-	}
+	f.out = append(f.out[:0], f.link.posted...)
 	f.link.posted = f.link.posted[:0]
 	return f.out, nil
 }
@@ -106,20 +104,20 @@ func (f *Federate) BoardTime() (cycle, swTick uint64) {
 
 // fedLink buffers the board's outbound posted traffic between exchanges.
 type fedLink struct {
-	posted []cosim.FedMsg
+	posted []hdlsim.DataMsg
 }
 
 // PostWrite implements DevLink; like the wire endpoint, it takes
 // ownership of words (the slice stays in flight until the peer's next
 // quantum).
 func (l *fedLink) PostWrite(addr uint32, words []uint32) error {
-	l.posted = append(l.posted, cosim.FedMsg{Kind: cosim.FedWrite, Addr: addr, Words: words})
+	l.posted = append(l.posted, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: addr, Words: words})
 	return nil
 }
 
 // PostReadReq implements DevLink.
 func (l *fedLink) PostReadReq(addr, count uint32) error {
-	l.posted = append(l.posted, cosim.FedMsg{Kind: cosim.FedReadReq, Addr: addr, Count: count})
+	l.posted = append(l.posted, hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: addr, Count: count})
 	return nil
 }
 

@@ -76,7 +76,7 @@ func runRendezvous(t *testing.T, mode SyncMode) {
 			if err := hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: 0x20, Words: []uint32{42}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := hw.SendInterrupt(5); err != nil {
+			if err := hw.SendData(hdlsim.DataMsg{Kind: hdlsim.DataInterrupt, IRQ: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}

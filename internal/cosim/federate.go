@@ -1,59 +1,12 @@
 package cosim
 
-import "fmt"
+import "repro/internal/hdlsim"
 
 // SimTime is a point on a federation's shared virtual clock, measured in
 // grant ticks — the same unit the wire protocol's MTClockGrant carries
 // and the HDL simulator's cycle counter advances by. Time is absolute
 // and monotonic within one federation run, starting at 0.
 type SimTime uint64
-
-// FedMsgKind discriminates the events federates exchange at quantum
-// boundaries. The kinds mirror the wire protocol's DATA/INT traffic, so
-// a ProcFederate can forward them byte-identically.
-type FedMsgKind uint8
-
-const (
-	// FedWrite posts a register-block write into the destination's
-	// address space (visible there from its next Step).
-	FedWrite FedMsgKind = iota + 1
-	// FedReadReq requests Count words from Addr; the destination answers
-	// with a FedReadResp in a later exchange (split-phase).
-	FedReadReq
-	// FedReadResp completes an earlier FedReadReq.
-	FedReadResp
-	// FedInt raises interrupt line IRQ at the destination.
-	FedInt
-)
-
-// String implements fmt.Stringer.
-func (k FedMsgKind) String() string {
-	switch k {
-	case FedWrite:
-		return "fed-write"
-	case FedReadReq:
-		return "fed-read-req"
-	case FedReadResp:
-		return "fed-read-resp"
-	case FedInt:
-		return "fed-int"
-	default:
-		return fmt.Sprintf("FedMsgKind(%d)", uint8(k))
-	}
-}
-
-// FedMsg is one boundary-exchanged event between federates. Data kinds
-// are routed by word address through the federation's link windows;
-// FedInt is routed by interrupt line. Words follows the same ownership
-// discipline as the wire protocol: the producer hands the slice over and
-// must not retain it.
-type FedMsg struct {
-	Kind  FedMsgKind
-	Addr  uint32   // word address (data kinds)
-	Count uint32   // word count (FedReadReq)
-	Words []uint32 // payload (FedWrite / FedReadResp)
-	IRQ   uint8    // interrupt line (FedInt)
-}
 
 // Federate is one party of an N-way co-simulation: a simulation engine
 // that can advance its local clock to a requested virtual time and
@@ -79,8 +32,10 @@ type Federate interface {
 	// Exchange delivers inbound boundary events (visible from the next
 	// Step) and returns the events this federate emitted since the
 	// previous Exchange. Both directions may be empty; a nil input is a
-	// pure collection call.
-	Exchange(in []FedMsg) (out []FedMsg, err error)
+	// pure collection call. Data kinds are routed by word address through
+	// the federation's link windows, hdlsim.DataInterrupt by line; Words
+	// ownership passes with the event, as on the wire.
+	Exchange(in []hdlsim.DataMsg) (out []hdlsim.DataMsg, err error)
 	// Lookahead is the federate's conservative promise, in grant ticks:
 	// no event will be emitted and nothing can become runnable locally
 	// for at least this many ticks beyond its current time without
@@ -99,35 +54,19 @@ type Federate interface {
 // SplitStepper is an optional Federate capability: a federate whose Step
 // blocks on an external party (e.g. a wire-protocol acknowledgement) can
 // split the advance so the time manager overlaps independent federates
-// in wall-clock time. BeginStep launches the advance (sends the grant);
-// the following Step(until) with the same bound completes it (waits for
-// the acknowledgement). The pair must be equivalent to a plain Step.
+// in wall-clock time. BeginStep launches the advance (sends the grant,
+// carrying lookahead — the federation's promise to the remote party in
+// grant ticks, NoLookahead unless the federation is adaptive); the
+// following Step(until) with the same bound completes it (waits for the
+// acknowledgement). The pair must be equivalent to a plain Step.
 type SplitStepper interface {
-	BeginStep(until SimTime) error
-}
-
-// LookaheadSink is an optional Federate capability: a federate that
-// forwards the federation's promise to a remote party (the grant's
-// Lookahead field) implements it to receive, before each rendezvous of an
-// adaptive federation, the minimum lookahead of all other federates.
-type LookaheadSink interface {
-	SetGrantLookahead(ticks uint64)
-}
-
-// SyncRecorder is an optional Federate capability: a federate that keeps
-// the hdlsim.DriverStats accounting (SyncEvents / SyncsElided /
-// LastBoardCy) implements it so the time manager's boundary decisions
-// land in the same counters DriverSimulate fills — the golden
-// fingerprints compare them directly.
-type SyncRecorder interface {
-	RecordSync(peerCycle uint64)
-	RecordElision()
+	BeginStep(until SimTime, lookahead uint64) error
 }
 
 // BoardClock is an optional Federate capability: a federate fronting a
 // board-side kernel reports the board's local cycle and software tick
-// from its most recent acknowledgement, so the manager can fold the
-// slowest board time into the DriverStats-compatible counters.
+// from its most recent acknowledgement, so the manager can report the
+// slowest board time as federation.Stats.PeerCycle.
 type BoardClock interface {
 	BoardTime() (cycle, swTick uint64)
 }

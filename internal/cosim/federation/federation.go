@@ -33,6 +33,7 @@ import (
 	"fmt"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // Party declares one federation member.
@@ -163,7 +164,12 @@ type Stats struct {
 	// Elided counts boundaries skipped by adaptive elongation
 	// (Quanta = Syncs + Elided when the horizon is quantum-aligned).
 	Quanta, Syncs, Elided uint64
-	Parties               []PartyStats
+	// PeerCycle is the slowest granted party's board cycle at the last
+	// rendezvous (cosim.BoardClock), or the rendezvous time when no
+	// party reports one — hdlsim.DriverStats.LastBoardCy of the
+	// federation.
+	PeerCycle uint64
+	Parties   []PartyStats
 }
 
 // TimeManager is the hierarchical coordinator: it owns the federation's
@@ -173,7 +179,7 @@ type TimeManager struct {
 	cfg   Config
 	eager []int // party indices in config order
 	lazy  []int
-	inbox [][]cosim.FedMsg
+	inbox [][]hdlsim.DataMsg
 	stats Stats
 }
 
@@ -182,7 +188,7 @@ func New(cfg Config) (*TimeManager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tm := &TimeManager{cfg: cfg, inbox: make([][]cosim.FedMsg, len(cfg.Parties))}
+	tm := &TimeManager{cfg: cfg, inbox: make([][]hdlsim.DataMsg, len(cfg.Parties))}
 	tm.stats.Parties = make([]PartyStats, len(cfg.Parties))
 	for i, p := range cfg.Parties {
 		tm.stats.Parties[i].Name = p.Fed.Name()
@@ -200,11 +206,11 @@ func (tm *TimeManager) Stats() Stats { return tm.stats }
 
 // route distributes the events src emitted to their destinations'
 // inboxes, by address window for data kinds and by line for interrupts.
-func (tm *TimeManager) route(src int, out []cosim.FedMsg) error {
+func (tm *TimeManager) route(src int, out []hdlsim.DataMsg) error {
 	tm.stats.Parties[src].EventsOut += uint64(len(out))
 	for _, m := range out {
 		dst := -1
-		if m.Kind == cosim.FedInt {
+		if m.Kind == hdlsim.DataInterrupt {
 			for _, l := range tm.cfg.Links {
 				if l.From != src {
 					continue
@@ -309,19 +315,20 @@ func (tm *TimeManager) eagerStopped() bool {
 
 // rendezvous grants every granted party the federation time up to until,
 // overlapping wire parties' quanta (grants first, acknowledgements
-// second), routes the collected traffic, and folds the slowest board
-// clock into the eager parties' stats.
+// second), routes the collected traffic, and records the slowest board
+// clock as Stats.PeerCycle.
 func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
 	for _, j := range tm.lazy {
 		f := tm.cfg.Parties[j].Fed
-		if ls, ok := f.(cosim.LookaheadSink); ok && tm.cfg.Adaptive {
-			ls.SetGrantLookahead(tm.grantLookahead(j))
-		}
 		if err := tm.deliver(j); err != nil {
 			return err
 		}
 		if ss, ok := f.(cosim.SplitStepper); ok {
-			if err := ss.BeginStep(until); err != nil {
+			la := cosim.NoLookahead
+			if tm.cfg.Adaptive {
+				la = tm.grantLookahead(j)
+			}
+			if err := ss.BeginStep(until, la); err != nil {
 				return fmt.Errorf("federation: party %q grant: %w", tm.stats.Parties[j].Name, err)
 			}
 		}
@@ -347,12 +354,10 @@ func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
 		}
 	}
 	for _, i := range tm.eager {
-		if sr, ok := tm.cfg.Parties[i].Fed.(cosim.SyncRecorder); ok {
-			sr.RecordSync(peerCycle)
-		}
 		tm.stats.Parties[i].Syncs++
 	}
 	tm.stats.Syncs++
+	tm.stats.PeerCycle = peerCycle
 	return nil
 }
 
@@ -360,11 +365,6 @@ func (tm *TimeManager) rendezvous(until cosim.SimTime) error {
 func (tm *TimeManager) recordElision() {
 	for i := range tm.stats.Parties {
 		tm.stats.Parties[i].Elided++
-	}
-	for _, i := range tm.eager {
-		if sr, ok := tm.cfg.Parties[i].Fed.(cosim.SyncRecorder); ok {
-			sr.RecordElision()
-		}
 	}
 	tm.stats.Elided++
 }

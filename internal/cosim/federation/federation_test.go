@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cosim"
+	"repro/internal/hdlsim"
 )
 
 // fakeParty is a scripted federate for manager unit tests: an eager
@@ -22,7 +23,7 @@ type fakeParty struct {
 	emitEvery uint64 // emit on every n-th quantum boundary; 0 = silent
 	addr      uint32
 	seq       uint32
-	out       []cosim.FedMsg
+	out       []hdlsim.DataMsg
 
 	// consumer record (lazy parties)
 	got      []uint32
@@ -41,7 +42,7 @@ func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 		q := uint64(until) / f.tsync
 		if q > 0 && q%f.emitEvery == 0 {
 			f.seq++
-			f.out = append(f.out, cosim.FedMsg{Kind: cosim.FedWrite, Addr: f.addr, Words: []uint32{f.seq}})
+			f.out = append(f.out, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: f.addr, Words: []uint32{f.seq}})
 		}
 	}
 	f.cur = until
@@ -49,7 +50,7 @@ func (f *fakeParty) Step(until cosim.SimTime) (cosim.SimTime, error) {
 	return until, nil
 }
 
-func (f *fakeParty) Exchange(in []cosim.FedMsg) ([]cosim.FedMsg, error) {
+func (f *fakeParty) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	for _, m := range in {
 		if len(m.Words) != 1 {
 			return nil, fmt.Errorf("fake %s: malformed delivery", f.name)
@@ -69,6 +70,81 @@ func (f *fakeParty) Done() bool { return f.halt != 0 && f.cur >= f.halt }
 func (f *fakeParty) Finish(at cosim.SimTime) error {
 	f.finished = true
 	return nil
+}
+
+// splitParty is a granted fake that implements cosim.SplitStepper and
+// cosim.BoardClock: it records the lookahead each grant carries and
+// reports a board cycle of cycleMul×cur+cycleOff.
+type splitParty struct {
+	fakeParty
+	cycleMul, cycleOff uint64
+	grants             []uint64 // lookahead carried by each BeginStep
+}
+
+func (f *splitParty) BeginStep(until cosim.SimTime, lookahead uint64) error {
+	f.grants = append(f.grants, lookahead)
+	return nil
+}
+
+func (f *splitParty) BoardTime() (cycle, swTick uint64) {
+	return f.cycleMul*uint64(f.cur) + f.cycleOff, 0
+}
+
+// TestGrantLookahead: each grant carries the minimum promise of every
+// other party when the federation is adaptive and NoLookahead when it is
+// not, and the schedule counters (Syncs, Elided, PeerCycle) match the
+// boundaries the promises allow.
+func TestGrantLookahead(t *testing.T) {
+	const tsync, quanta = 100, 9
+	for _, adaptive := range []bool{true, false} {
+		t.Run(fmt.Sprintf("adaptive=%v", adaptive), func(t *testing.T) {
+			// The device promises 350 ticks, b1 250 and b2 300, so b1's
+			// grant carries min(350, 300) and b2's min(350, 250); b1's own
+			// smaller promise must not leak into its grant.
+			dev := &fakeParty{name: "dev", la: 350, tsync: tsync}
+			b1 := &splitParty{fakeParty: fakeParty{name: "b1", la: 250}, cycleMul: 3}
+			b2 := &splitParty{fakeParty: fakeParty{name: "b2", la: 300}, cycleMul: 2, cycleOff: 7}
+			tm, err := New(Config{
+				Parties: []Party{{Fed: dev, Eager: true}, {Fed: b1}, {Fed: b2}},
+				Links:   []Link{{From: 0, To: 1, Base: 0x100, Size: 0x10}, {From: 0, To: 2, Base: 0x200, Size: 0x10}},
+				TSync:   tsync, Horizon: quanta * tsync, Adaptive: adaptive,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := tm.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Adaptive: the granted parties' minimum promise is 250, so
+			// boundaries with 100 or 200 accumulated ticks are elided and
+			// every third one (300, 600, 900) is a rendezvous.
+			wantSyncs, wantElided, b1LA, b2LA := uint64(quanta), uint64(0), cosim.NoLookahead, cosim.NoLookahead
+			if adaptive {
+				wantSyncs, wantElided, b1LA, b2LA = 3, 6, 300, 250
+			}
+			if st.Syncs != wantSyncs || st.Elided != wantElided {
+				t.Fatalf("%d syncs / %d elided, want %d / %d", st.Syncs, st.Elided, wantSyncs, wantElided)
+			}
+			// At the last rendezvous (900) b1 reports 2700 and b2 1807.
+			if st.PeerCycle != 1807 {
+				t.Fatalf("PeerCycle %d, want the slowest board's 1807", st.PeerCycle)
+			}
+			for _, c := range []struct {
+				p    *splitParty
+				want uint64
+			}{{b1, b1LA}, {b2, b2LA}} {
+				if uint64(len(c.p.grants)) != wantSyncs {
+					t.Fatalf("%s saw %d grants, want %d", c.p.name, len(c.p.grants), wantSyncs)
+				}
+				for i, la := range c.p.grants {
+					if la != c.want {
+						t.Fatalf("%s grant %d carried lookahead %d, want %d (all: %v)", c.p.name, i, la, c.want, c.p.grants)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestZeroLookaheadForcesPlainStepping: adaptive elongation is a

@@ -62,9 +62,6 @@ type HWEndpoint struct {
 	// acknowledgement: how many grant ticks can elapse before anything
 	// becomes runnable board-side (see Msg.Lookahead).
 	lastLookahead uint64
-	// localLookahead is the federation's lookahead promise carried on the
-	// next grant, set through ProcFederate.SetGrantLookahead.
-	localLookahead uint64
 
 	// AckTimeout bounds every wait for board traffic (acknowledgements
 	// and announced data). Zero blocks indefinitely. Set it to detect a
@@ -107,8 +104,18 @@ func (ep *HWEndpoint) PollData() []hdlsim.DataMsg {
 	return out
 }
 
-// SendData implements hdlsim.DriverEndpoint.
+// SendData implements hdlsim.DriverEndpoint: writes and read responses
+// go out on DATA, DataInterrupt packets on INT.
 func (ep *HWEndpoint) SendData(d hdlsim.DataMsg) error {
+	if d.Kind == hdlsim.DataInterrupt {
+		m := Msg{Type: MTInterrupt, IRQ: d.IRQ}
+		ep.intSent++
+		ep.m.IntSent++
+		ep.m.BytesSent += uint64(m.WireSize())
+		ep.lv.incIntSent()
+		ep.lv.addBytes(uint64(m.WireSize()))
+		return ep.tr.Send(ChanInt, m)
+	}
 	m := Msg{Addr: d.Addr, Count: d.Count, Words: d.Words}
 	switch d.Kind {
 	case hdlsim.DataWrite:
@@ -126,25 +133,15 @@ func (ep *HWEndpoint) SendData(d hdlsim.DataMsg) error {
 	return ep.tr.Send(ChanData, m)
 }
 
-// SendInterrupt implements hdlsim.DriverEndpoint.
-func (ep *HWEndpoint) SendInterrupt(irq uint8) error {
-	m := Msg{Type: MTInterrupt, IRQ: irq}
-	ep.intSent++
-	ep.m.IntSent++
-	ep.m.BytesSent += uint64(m.WireSize())
-	ep.lv.incIntSent()
-	ep.lv.addBytes(uint64(m.WireSize()))
-	return ep.tr.Send(ChanInt, m)
-}
-
 // sendGrant emits the CLOCK-port grant for the quantum just simulated,
-// carrying the drain counts of the traffic sent during it.
-func (ep *HWEndpoint) sendGrant(ticks, hwCycle uint64) error {
+// carrying the drain counts of the traffic sent during it and the
+// simulator side's lookahead promise.
+func (ep *HWEndpoint) sendGrant(ticks, hwCycle, lookahead uint64) error {
 	grant := Msg{
 		Type:      MTClockGrant,
 		Ticks:     ticks,
 		HWCycle:   hwCycle,
-		Lookahead: ep.localLookahead,
+		Lookahead: lookahead,
 		DataCount: ep.dataSent,
 		IntCount:  ep.intSent,
 	}
@@ -163,7 +160,7 @@ func (ep *HWEndpoint) sendGrant(ticks, hwCycle uint64) error {
 
 // Sync implements hdlsim.DriverEndpoint: the CLOCK-port rendezvous.
 func (ep *HWEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
-	if err := ep.sendGrant(ticks, hwCycle); err != nil {
+	if err := ep.sendGrant(ticks, hwCycle, NoLookahead); err != nil {
 		return 0, err
 	}
 	if ep.mode == SyncPipelined {

@@ -23,8 +23,7 @@ type ProcFederate struct {
 	name  string
 	ep    *HWEndpoint
 	cur   SimTime
-	begun bool     // BeginStep already sent the grant for the next Step
-	out   []FedMsg // reused collection buffer
+	begun bool // BeginStep already sent the grant for the next Step
 }
 
 // NewProcFederate wraps an already-configured HWEndpoint (mode,
@@ -39,60 +38,36 @@ func (f *ProcFederate) Name() string { return f.name }
 // Exchange implements Federate: inbound events are forwarded on the wire
 // immediately (the grant that follows carries their drain counts), and
 // the DATA traffic announced by the last acknowledgement is returned.
-// The returned slice is reused by the next Exchange.
-func (f *ProcFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
+func (f *ProcFederate) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	for _, m := range in {
-		switch m.Kind {
-		case FedWrite:
-			if err := f.ep.SendData(hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: m.Addr, Words: m.Words}); err != nil {
-				return nil, err
-			}
-		case FedReadResp:
-			if err := f.ep.SendData(hdlsim.DataMsg{Kind: hdlsim.DataReadResp, Addr: m.Addr, Words: m.Words}); err != nil {
-				return nil, err
-			}
-		case FedInt:
-			if err := f.ep.SendInterrupt(m.IRQ); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("cosim: %s: wire federate cannot forward %v", f.name, m.Kind)
+		if err := f.ep.SendData(m); err != nil {
+			return nil, err
 		}
 	}
-	f.out = f.out[:0]
-	for _, d := range f.ep.PollData() {
-		switch d.Kind {
-		case hdlsim.DataWrite:
-			f.out = append(f.out, FedMsg{Kind: FedWrite, Addr: d.Addr, Words: d.Words})
-		case hdlsim.DataReadReq:
-			f.out = append(f.out, FedMsg{Kind: FedReadReq, Addr: d.Addr, Count: d.Count})
-		default:
-			return nil, fmt.Errorf("cosim: %s: unexpected %v from remote party", f.name, d.Kind)
-		}
-	}
-	return f.out, nil
+	return f.ep.PollData(), nil
 }
 
-// BeginStep implements SplitStepper: it sends the CLOCK grant without
-// waiting, so the manager can launch all remote parties' quanta before
-// collecting any acknowledgement.
-func (f *ProcFederate) BeginStep(until SimTime) error {
+// BeginStep implements SplitStepper: it sends the CLOCK grant, carrying
+// the federation's lookahead promise, without waiting, so the manager can
+// launch all remote parties' quanta before collecting any
+// acknowledgement.
+func (f *ProcFederate) BeginStep(until SimTime, lookahead uint64) error {
 	if until < f.cur {
 		return fmt.Errorf("cosim: %s: step backwards (%d < %d)", f.name, until, f.cur)
 	}
-	if err := f.ep.sendGrant(uint64(until-f.cur), uint64(until)); err != nil {
+	if err := f.ep.sendGrant(uint64(until-f.cur), uint64(until), lookahead); err != nil {
 		return err
 	}
 	f.begun = true
 	return nil
 }
 
-// Step implements Federate: grant (unless BeginStep already did) and
-// wait for the remote acknowledgement, with the same pipelined-mode
-// overlap as HWEndpoint.Sync.
+// Step implements Federate: grant (unless BeginStep already did; a plain
+// Step promises NoLookahead) and wait for the remote acknowledgement,
+// with the same pipelined-mode overlap as HWEndpoint.Sync.
 func (f *ProcFederate) Step(until SimTime) (SimTime, error) {
 	if !f.begun {
-		if err := f.BeginStep(until); err != nil {
+		if err := f.BeginStep(until, NoLookahead); err != nil {
 			return f.cur, err
 		}
 	}
@@ -120,10 +95,6 @@ func (f *ProcFederate) Lookahead() uint64 {
 	return f.ep.lastLookahead
 }
 
-// SetGrantLookahead implements LookaheadSink: the federation's promise
-// carried on the next outgoing grant.
-func (f *ProcFederate) SetGrantLookahead(ticks uint64) { f.ep.localLookahead = ticks }
-
 // Done implements Federate: a wire party never ends the run on its own.
 func (f *ProcFederate) Done() bool { return false }
 
@@ -139,5 +110,4 @@ func (f *ProcFederate) Metrics() *Metrics { return f.ep.Metrics() }
 
 var _ Federate = (*ProcFederate)(nil)
 var _ SplitStepper = (*ProcFederate)(nil)
-var _ LookaheadSink = (*ProcFederate)(nil)
 var _ BoardClock = (*ProcFederate)(nil)

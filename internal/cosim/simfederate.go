@@ -51,7 +51,7 @@ func (f *SimFederate) Step(until SimTime) (SimTime, error) {
 // DATA-poll buffer (visible at the next cycle), and the DATA/INT traffic
 // the kernel emitted since the last call is returned. The returned slice
 // is reused by the next Exchange — route it before calling again.
-func (f *SimFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
+func (f *SimFederate) Exchange(in []hdlsim.DataMsg) ([]hdlsim.DataMsg, error) {
 	if f.ep.polled {
 		// The kernel consumed the previous delivery synchronously inside
 		// its Step, so the backing array is free to reuse.
@@ -59,14 +59,10 @@ func (f *SimFederate) Exchange(in []FedMsg) ([]FedMsg, error) {
 		f.ep.polled = false
 	}
 	for _, m := range in {
-		switch m.Kind {
-		case FedWrite:
-			f.ep.inbox = append(f.ep.inbox, hdlsim.DataMsg{Kind: hdlsim.DataWrite, Addr: m.Addr, Words: m.Words})
-		case FedReadReq:
-			f.ep.inbox = append(f.ep.inbox, hdlsim.DataMsg{Kind: hdlsim.DataReadReq, Addr: m.Addr, Count: m.Count})
-		default:
+		if m.Kind != hdlsim.DataWrite && m.Kind != hdlsim.DataReadReq {
 			return nil, fmt.Errorf("cosim: %s: device federate cannot accept %v", f.name, m.Kind)
 		}
+		f.ep.inbox = append(f.ep.inbox, m)
 	}
 	out := f.ep.out
 	f.ep.out = f.ep.outFree[:0]
@@ -84,14 +80,9 @@ func (f *SimFederate) Done() bool { return f.d.Stopped() }
 // Finish implements Federate; the kernel needs no shutdown handshake.
 func (f *SimFederate) Finish(at SimTime) error { return nil }
 
-// RecordSync implements SyncRecorder.
-func (f *SimFederate) RecordSync(peerCycle uint64) { f.d.RecordSync(peerCycle) }
-
-// RecordElision implements SyncRecorder.
-func (f *SimFederate) RecordElision() { f.d.RecordElision() }
-
-// Stats returns the kernel's driver-loop counters, including the
-// rendezvous schedule the time manager recorded.
+// Stats returns the kernel's driver-loop counters. The rendezvous
+// schedule (SyncEvents, SyncsElided, LastBoardCy) stays zero: the time
+// manager owns it (federation.Stats).
 func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }
 
 // fedBufEndpoint is the in-memory hdlsim.DriverEndpoint behind a
@@ -102,8 +93,8 @@ func (f *SimFederate) Stats() hdlsim.DriverStats { return f.d.Stats() }
 type fedBufEndpoint struct {
 	inbox   []hdlsim.DataMsg
 	polled  bool // inbox was released to the kernel and may be recycled
-	out     []FedMsg
-	outFree []FedMsg // swap buffer so Exchange reuses collected slices
+	out     []hdlsim.DataMsg
+	outFree []hdlsim.DataMsg // swap buffer so Exchange reuses collected slices
 }
 
 func (ep *fedBufEndpoint) PollData() []hdlsim.DataMsg {
@@ -115,19 +106,7 @@ func (ep *fedBufEndpoint) PollData() []hdlsim.DataMsg {
 }
 
 func (ep *fedBufEndpoint) SendData(d hdlsim.DataMsg) error {
-	switch d.Kind {
-	case hdlsim.DataWrite:
-		ep.out = append(ep.out, FedMsg{Kind: FedWrite, Addr: d.Addr, Words: d.Words})
-	case hdlsim.DataReadResp:
-		ep.out = append(ep.out, FedMsg{Kind: FedReadResp, Addr: d.Addr, Words: d.Words})
-	default:
-		return fmt.Errorf("cosim: federate device cannot send %v on DATA", d.Kind)
-	}
-	return nil
-}
-
-func (ep *fedBufEndpoint) SendInterrupt(irq uint8) error {
-	ep.out = append(ep.out, FedMsg{Kind: FedInt, IRQ: irq})
+	ep.out = append(ep.out, d)
 	return nil
 }
 
@@ -139,4 +118,3 @@ func (ep *fedBufEndpoint) Finish(hwCycle uint64) error { return nil }
 
 var _ hdlsim.DriverEndpoint = (*fedBufEndpoint)(nil)
 var _ Federate = (*SimFederate)(nil)
-var _ SyncRecorder = (*SimFederate)(nil)

@@ -28,6 +28,9 @@ const (
 	DataReadReq
 	// DataReadResp answers a DataReadReq.
 	DataReadResp
+	// DataInterrupt raises interrupt line IRQ at the receiver: the
+	// paper's INT-port packet, carried on the wire's INT channel.
+	DataInterrupt
 )
 
 // String implements fmt.Stringer.
@@ -39,15 +42,21 @@ func (k DataKind) String() string {
 		return "read-req"
 	case DataReadResp:
 		return "read-resp"
+	case DataInterrupt:
+		return "interrupt"
 	default:
 		return fmt.Sprintf("DataKind(%d)", uint8(k))
 	}
 }
 
-// DataMsg is one DATA-channel message as seen by the kernel. Addresses are
-// word addresses in the remote device's register space.
+// DataMsg is one boundary event as seen by the kernel, the federates and
+// the time manager: DATA-port traffic or an INT-port packet. Addresses
+// are word addresses in the remote device's register space. Words
+// follows the wire protocol's ownership discipline: the producer hands
+// the slice over and must not retain it.
 type DataMsg struct {
 	Kind  DataKind
+	IRQ   uint8 // for DataInterrupt
 	Addr  uint32
 	Count uint32   // for DataReadReq
 	Words []uint32 // for DataWrite / DataReadResp
@@ -60,11 +69,9 @@ type DriverEndpoint interface {
 	// PollData returns board→HW DATA messages that are available for this
 	// quantum, without blocking.
 	PollData() []DataMsg
-	// SendData delivers a HW→board DATA message (read responses, posted
-	// writes).
+	// SendData delivers a HW→board message: read responses and posted
+	// writes on the DATA port, DataInterrupt packets on the INT port.
 	SendData(DataMsg) error
-	// SendInterrupt notifies the board of interrupt line irq (INT port).
-	SendInterrupt(irq uint8) error
 	// Sync performs the CLOCK-port rendezvous: grant the board `ticks`
 	// virtual ticks of execution and (eventually) obtain its local time.
 	// hwCycle is the kernel's cycle count at the synchronization point.
@@ -314,8 +321,8 @@ type Driver struct {
 }
 
 // NewDriver elaborates the design and returns a stepper over it. The
-// endpoint only needs PollData/SendData/SendInterrupt; Sync and Finish
-// are never invoked by Cycle.
+// endpoint only needs PollData/SendData; Sync and Finish are never
+// invoked by Cycle.
 func (s *Simulator) NewDriver(clk *Clock, ep DriverEndpoint) (*Driver, error) {
 	if err := s.Elaborate(); err != nil {
 		return nil, err
@@ -345,7 +352,7 @@ func (d *Driver) Cycle() error {
 	for _, w := range d.s.intWatches {
 		level := w.sig.Read()
 		if level && !w.prev {
-			if err := d.ep.SendInterrupt(w.irq); err != nil {
+			if err := d.ep.SendData(DataMsg{Kind: DataInterrupt, IRQ: w.irq}); err != nil {
 				return err
 			}
 			d.st.Interrupts++
@@ -353,7 +360,7 @@ func (d *Driver) Cycle() error {
 		w.prev = level
 	}
 	for _, irq := range d.s.intRaised {
-		if err := d.ep.SendInterrupt(irq); err != nil {
+		if err := d.ep.SendData(DataMsg{Kind: DataInterrupt, IRQ: irq}); err != nil {
 			return err
 		}
 		d.st.Interrupts++
@@ -376,25 +383,14 @@ func (d *Driver) Cycle() error {
 func (d *Driver) Stopped() bool { return d.s.stopped }
 
 // Stats returns the driver-loop counters accumulated so far. SyncEvents,
-// SyncsElided and LastBoardCy belong to the synchronization policy, so
-// when a Driver is stepped externally they stay zero until the
-// coordinator records them with RecordSync/RecordElision.
+// SyncsElided and LastBoardCy belong to the synchronization policy:
+// DriverSimulate fills them, and a Driver stepped externally leaves them
+// zero — the coordinator keeps its own schedule counters.
 func (d *Driver) Stats() DriverStats { return d.st }
 
 // InterruptLookahead evaluates the model's lookahead oracle (see
 // SetInterruptLookahead).
 func (d *Driver) InterruptLookahead() uint64 { return d.s.interruptLookahead() }
-
-// RecordSync accounts one CLOCK rendezvous performed by an external
-// coordinator on this kernel's behalf.
-func (d *Driver) RecordSync(boardCycle uint64) {
-	d.st.SyncEvents++
-	d.st.LastBoardCy = boardCycle
-}
-
-// RecordElision accounts one TSync boundary an external coordinator
-// elided.
-func (d *Driver) RecordElision() { d.st.SyncsElided++ }
 
 // DriverConfig parameterizes DriverSimulate.
 type DriverConfig struct {
@@ -448,7 +444,8 @@ func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConf
 			if err != nil {
 				return d.st, err
 			}
-			d.RecordSync(bc)
+			d.st.SyncEvents++
+			d.st.LastBoardCy = bc
 			sinceSync = 0
 			if cfg.StopEarly != nil && cfg.StopEarly() {
 				break
@@ -460,7 +457,8 @@ func (s *Simulator) DriverSimulate(clk *Clock, ep DriverEndpoint, cfg DriverConf
 		if err != nil {
 			return d.st, err
 		}
-		d.RecordSync(bc)
+		d.st.SyncEvents++
+		d.st.LastBoardCy = bc
 	}
 	return d.st, ep.Finish(d.st.Cycles)
 }

@@ -26,9 +26,12 @@ func (f *fakeEndpoint) PollData() []DataMsg {
 	return batch
 }
 
-func (f *fakeEndpoint) SendData(m DataMsg) error { f.sent = append(f.sent, m); return nil }
-func (f *fakeEndpoint) SendInterrupt(irq uint8) error {
-	f.ints = append(f.ints, irq)
+func (f *fakeEndpoint) SendData(m DataMsg) error {
+	if m.Kind == DataInterrupt {
+		f.ints = append(f.ints, m.IRQ)
+	} else {
+		f.sent = append(f.sent, m)
+	}
 	return nil
 }
 func (f *fakeEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {

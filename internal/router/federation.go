@@ -389,6 +389,7 @@ func runFederation(ctx context.Context, rc RunConfig, tr Transports) (res Federa
 	}
 
 	res.HW = hwFed.Stats()
+	res.HW.SyncEvents, res.HW.SyncsElided, res.HW.LastBoardCy = fedStats.Syncs, fedStats.Elided, fedStats.PeerCycle
 	res.Router = tb.Router.Stats()
 	res.Consumers = tb.ConsumerTotals()
 	res.Generated = tb.Generated()

@@ -24,11 +24,10 @@ type LoopbackEndpoint struct {
 	// calls). 0 means the verdict is visible the very next cycle.
 	ResponseDelay uint64
 
-	slots     map[uint32][]uint32 // slot addr → last block written
-	pipeline  []delayedVerdict
-	boardCy   uint64
-	ints      uint64
-	finishCnt int
+	slots    map[uint32][]uint32 // slot addr → last block written
+	pipeline []delayedVerdict
+	boardCy  uint64
+	ints     uint64
 }
 
 type delayedVerdict struct {
@@ -69,9 +68,13 @@ func (l *LoopbackEndpoint) PollData() []hdlsim.DataMsg {
 	return out
 }
 
-// SendData implements hdlsim.DriverEndpoint: slot writes are remembered;
-// a sequence-register write triggers verification of the slot it names.
+// SendData implements hdlsim.DriverEndpoint: slot writes are remembered,
+// a sequence-register write triggers verification of the slot it names,
+// and interrupts are counted and otherwise ignored.
 func (l *LoopbackEndpoint) SendData(m hdlsim.DataMsg) error {
+	if m.Kind == hdlsim.DataInterrupt {
+		l.ints++
+	}
 	if m.Kind != hdlsim.DataWrite {
 		return nil
 	}
@@ -98,12 +101,6 @@ func (l *LoopbackEndpoint) SendData(m hdlsim.DataMsg) error {
 	return nil
 }
 
-// SendInterrupt implements hdlsim.DriverEndpoint (counted, ignored).
-func (l *LoopbackEndpoint) SendInterrupt(irq uint8) error {
-	l.ints++
-	return nil
-}
-
 // Sync implements hdlsim.DriverEndpoint: the phantom board is always
 // exactly in step.
 func (l *LoopbackEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
@@ -111,10 +108,7 @@ func (l *LoopbackEndpoint) Sync(ticks, hwCycle uint64) (uint64, error) {
 }
 
 // Finish implements hdlsim.DriverEndpoint.
-func (l *LoopbackEndpoint) Finish(hwCycle uint64) error {
-	l.finishCnt++
-	return nil
-}
+func (l *LoopbackEndpoint) Finish(hwCycle uint64) error { return nil }
 
 // Interrupts returns how many INT packets the router raised.
 func (l *LoopbackEndpoint) Interrupts() uint64 { return l.ints }
