@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzMsgRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzShmRing$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cosim/ -run '^$$' -fuzz '^FuzzShmDemux$$' -fuzztime $(FUZZTIME)
 
 # farm-soak repeats the multi-session farm suite under the race detector
 # — the concurrency gate for the session manager and the mux listener.

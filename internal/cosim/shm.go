@@ -232,8 +232,10 @@ type ShmConfig struct {
 	// ShmDefaultRingBytes). A frame larger than half the ring is
 	// rejected at Send.
 	RingBytes int
-	// InboxDepth is the per-channel decoded-message buffer depth
-	// (default 4096, like the TCP transport).
+	// InboxDepth bounds how many decoded frames the caller-side demux
+	// parks per channel while a receiver of another channel pops past
+	// them (default 4096, like the TCP transport). A full channel leaves
+	// its next record in the ring, which backpressures the sender.
 	InboxDepth int
 }
 
@@ -257,25 +259,28 @@ func (c ShmConfig) withDefaults() ShmConfig {
 }
 
 // ShmTransport is the Transport over one side of a shared-memory
-// segment: a reader goroutine pumps the inbound ring into per-channel
-// inboxes (so TryRecv is non-blocking and per-channel FIFO holds), and
-// Send encodes straight into the outbound ring. It satisfies the pooled
-// buffer ownership contract exactly like the TCP transport: Send is the
-// stack's terminal consumer and releases the message's payloads once
-// they are in the ring; Recv grants ownership of pooled payloads to the
-// caller.
+// segment. It runs no goroutine of its own: Send encodes straight into
+// the outbound ring, and Recv/TryRecv demux the inbound ring on the
+// caller's goroutine — the receiver pops records itself, and parks
+// frames for other channels in per-channel pending FIFOs so per-channel
+// FIFO order holds. It satisfies the pooled buffer ownership contract
+// exactly like the TCP transport: Send is the stack's terminal consumer
+// and releases the message's payloads once they are in the ring; Recv
+// grants ownership of pooled payloads to the caller.
 type ShmTransport struct {
 	tx, rx *shmRing
 	wmu    sync.Mutex // serializes writers (session acks/heartbeats ride alongside endpoint sends)
-	inbox  [numChannels]chan Msg
 
-	done     chan struct{} // local close signal: unblocks reader and Recv
+	// rmu serializes the caller-side demux: the ring's single consumer is
+	// whichever goroutine holds it.
+	rmu     sync.Mutex
+	pending [numChannels]shmFIFO // frames popped ahead of their channel's receiver
+	depth   int                  // per-channel pending bound (ShmConfig.InboxDepth)
+	readErr error                // terminal ring or decode error, sticky
+
+	closing  atomic.Bool // set first by Close; checked before any segment access
 	once     sync.Once
-	readerWG sync.WaitGroup
 	closeErr error
-
-	emu     sync.Mutex
-	readErr error
 
 	// unmap tears the segment mapping down once every local user of it
 	// has closed (the in-process pair shares one mapping).
@@ -294,13 +299,38 @@ type ShmTransport struct {
 
 // newShmTransport wires one side over an already-mapped segment.
 func newShmTransport(tx, rx *shmRing, inboxDepth int, unmap func() error) *ShmTransport {
-	t := &ShmTransport{tx: tx, rx: rx, done: make(chan struct{}), unmap: unmap}
-	for i := range t.inbox {
-		t.inbox[i] = make(chan Msg, inboxDepth)
+	return &ShmTransport{tx: tx, rx: rx, depth: inboxDepth, unmap: unmap}
+}
+
+// shmFIFO is one channel's pending queue. It reuses its backing array:
+// a drained queue rewinds, and a full array with a consumed prefix
+// compacts before it would grow.
+type shmFIFO struct {
+	q    []Msg
+	head int
+}
+
+func (f *shmFIFO) len() int { return len(f.q) - f.head }
+
+func (f *shmFIFO) push(m Msg) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
 	}
-	t.readerWG.Add(1)
-	go t.readLoop()
-	return t
+	f.q = append(f.q, m)
+}
+
+func (f *shmFIFO) pop() (Msg, bool) {
+	if f.head == len(f.q) {
+		return Msg{}, false
+	}
+	m := f.q[f.head]
+	f.q[f.head] = Msg{}
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return m, true
 }
 
 // initShmSegment stamps the layout header of a fresh (zeroed) segment.
@@ -442,16 +472,6 @@ func OpenShm(path string) (Transport, error) {
 	return newShmTransport(b, a, ShmConfig{}.withDefaults().InboxDepth, unmap), nil
 }
 
-// localDone reports whether this side's Close has begun.
-func (t *ShmTransport) localDone() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Send implements Transport: the message is framed directly into the
 // outbound ring. As the stack's bottom layer this transport is the
 // terminal consumer of any pooled message (a batch flush or a session
@@ -468,9 +488,9 @@ func (t *ShmTransport) Send(ch Channel, m Msg) error {
 }
 
 func (t *ShmTransport) sendLocked(ch Channel, m *Msg) error {
-	spins := 0
-	for {
-		if t.tx.isClosed() || t.localDone() {
+	for spins := 0; ; {
+		// closing first: after Close the segment may be unmapped.
+		if t.closing.Load() || t.tx.isClosed() {
 			return ErrClosed
 		}
 		n, wrapped, err := t.tx.tryPush(ch, m)
@@ -490,131 +510,115 @@ func (t *ShmTransport) sendLocked(ch Channel, m *Msg) error {
 		if !errors.Is(err, errShmFull) {
 			return err
 		}
-		// Ring full: the reader is behind. Busy/park hybrid.
-		spins++
-		switch {
-		case spins < shmHotSpins:
-		case spins < shmYieldSpins:
-			runtime.Gosched()
-		default:
-			t.sendParks.Add(1)
-			time.Sleep(shmParkSleep) //cosim:wallclock -- host-side backpressure park between ring-full polls
-			spins = shmHotSpins      // keep yielding/parking, skip re-spinning hot
-		}
+		// Ring full: the peer is behind, perhaps because it is blocked
+		// sending to us. Drain our inbound ring into the pending FIFOs so
+		// two peers that both send before receiving cannot wedge; a
+		// terminal error stays sticky for the next receive.
+		t.rmu.Lock()
+		t.pollLocked(numChannels)
+		t.rmu.Unlock()
+		shmBackoff(&spins, &t.sendParks)
 	}
 }
 
-// readLoop is the single consumer of the inbound ring: it decodes each
-// record in place and dispatches the message to its channel inbox. It
-// exits — closing every inbox — when the link closes (either side) or a
-// corrupt record poisons the ring.
-func (t *ShmTransport) readLoop() {
-	defer t.readerWG.Done()
-	defer func() {
-		for i := range t.inbox {
-			close(t.inbox[i])
+// shmBackoff is one step of the busy/park hybrid after a failed poll.
+func shmBackoff(spins *int, parks *atomic.Uint64) {
+	*spins++
+	switch {
+	case *spins < shmHotSpins:
+	case *spins < shmYieldSpins:
+		runtime.Gosched()
+	default:
+		parks.Add(1)
+		time.Sleep(shmParkSleep) //cosim:wallclock -- host-side park between ring polls
+		*spins = shmHotSpins     // keep yielding/parking, skip re-spinning hot
+	}
+}
+
+// pollLocked returns the next message on ch if one has arrived. It
+// pops the inbound ring until it meets a record for ch, parking records
+// for other channels in their pending FIFOs; ch == numChannels parks
+// everything that fits. A record whose channel is already InboxDepth
+// deep stays in the ring. rmu must be held.
+func (t *ShmTransport) pollLocked(ch Channel) (Msg, bool, error) {
+	if ch < numChannels {
+		if m, ok := t.pending[ch].pop(); ok {
+			return m, true, nil
 		}
-	}()
-	spins := 0
+	}
+	if t.readErr != nil {
+		return Msg{}, false, t.readErr
+	}
+	if t.closing.Load() { // before any segment access: Close unmaps it
+		return Msg{}, false, ErrClosed
+	}
 	for {
-		ch, body, newTail, err := t.rx.tryPop()
-		if err != nil {
-			if !errors.Is(err, errShmEmpty) {
-				t.setReadErr(err)
-				return
+		// Sampled before the pop: an empty ring seen after the flag
+		// holds everything the peer sent before closing.
+		closed := t.rx.isClosed()
+		rch, body, newTail, err := t.rx.tryPop()
+		if errors.Is(err, errShmEmpty) {
+			if closed {
+				return Msg{}, false, ErrClosed
 			}
-			if t.localDone() {
-				return
-			}
-			if t.rx.isClosed() {
-				// Peer closed: one final drain pass so a shutdown race
-				// cannot lose the last ack, then report closure.
-				if _, _, _, err := t.rx.tryPop(); errors.Is(err, errShmEmpty) {
-					return
-				}
-				continue
-			}
-			spins++
-			switch {
-			case spins < shmHotSpins:
-			case spins < shmYieldSpins:
-				runtime.Gosched()
-			default:
-				t.recvParks.Add(1)
-				time.Sleep(shmParkSleep) //cosim:wallclock -- host-side park between empty-ring polls
-				spins = shmHotSpins
-			}
-			continue
+			return Msg{}, false, nil
 		}
-		spins = 0
+		if err == nil && rch >= numChannels {
+			err = fmt.Errorf("cosim: shm record on invalid channel %d", rch)
+		}
+		if err != nil {
+			t.readErr = err
+			return Msg{}, false, err
+		}
+		if rch != ch && t.pending[rch].len() >= t.depth {
+			return Msg{}, false, nil
+		}
 		m, derr := decodeBody(body)
 		// decodeBody copied the payloads into pooled buffers; the ring
 		// space can be recycled now.
 		t.rx.hdr.tail.Store(newTail)
 		if derr != nil {
 			m.Release()
-			t.setReadErr(fmt.Errorf("cosim: shm decode: %w", derr))
-			return
-		}
-		if ch >= numChannels {
-			m.Release()
-			t.setReadErr(fmt.Errorf("cosim: shm record on invalid channel %d", ch))
-			return
+			t.readErr = fmt.Errorf("cosim: shm decode: %w", derr)
+			return Msg{}, false, t.readErr
 		}
 		t.framesRecv.Add(1)
-		select {
-		case t.inbox[ch] <- m:
-		case <-t.done:
-			m.Release()
-			return
+		if rch == ch {
+			return m, true, nil
 		}
+		t.pending[rch].push(m)
 	}
 }
 
-func (t *ShmTransport) setReadErr(err error) {
-	t.emu.Lock()
-	if t.readErr == nil {
-		t.readErr = err
+// recv polls until a message on ch arrives, the link fails, or d (if
+// positive) passes.
+func (t *ShmTransport) recv(ch Channel, d time.Duration) (Msg, error) {
+	if ch >= numChannels {
+		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	t.emu.Unlock()
-}
-
-func (t *ShmTransport) chanErr() error {
-	t.emu.Lock()
-	defer t.emu.Unlock()
-	if t.readErr != nil {
-		return t.readErr
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
 	}
-	return ErrClosed
+	for spins := 0; ; {
+		t.rmu.Lock()
+		m, ok, err := t.pollLocked(ch)
+		t.rmu.Unlock()
+		if ok || err != nil {
+			return m, err
+		}
+		if d > 0 && time.Now().After(deadline) { //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
+			return Msg{}, ErrTimeout
+		}
+		shmBackoff(&spins, &t.recvParks)
+	}
 }
 
 // Recv implements Transport.
-func (t *ShmTransport) Recv(ch Channel) (Msg, error) {
-	if ch >= numChannels {
-		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
-	}
-	m, ok := <-t.inbox[ch]
-	if !ok {
-		return Msg{}, t.chanErr()
-	}
-	return m, nil
-}
+func (t *ShmTransport) Recv(ch Channel) (Msg, error) { return t.recv(ch, 0) }
 
 func (t *ShmTransport) recvTimeout(ch Channel, d time.Duration) (Msg, error) {
-	if ch >= numChannels {
-		return Msg{}, fmt.Errorf("cosim: invalid channel %d", ch)
-	}
-	timer := time.NewTimer(d) //cosim:wallclock -- receive timeout bounds host I/O, not simulated time
-	defer timer.Stop()
-	select {
-	case m, ok := <-t.inbox[ch]:
-		if !ok {
-			return Msg{}, t.chanErr()
-		}
-		return m, nil
-	case <-timer.C:
-		return Msg{}, ErrTimeout
-	}
+	return t.recv(ch, d)
 }
 
 // TryRecv implements Transport.
@@ -622,31 +626,29 @@ func (t *ShmTransport) TryRecv(ch Channel) (Msg, bool, error) {
 	if ch >= numChannels {
 		return Msg{}, false, fmt.Errorf("cosim: invalid channel %d", ch)
 	}
-	select {
-	case m, ok := <-t.inbox[ch]:
-		if !ok {
-			return Msg{}, false, t.chanErr()
-		}
-		return m, true, nil
-	default:
-		return Msg{}, false, nil
-	}
+	t.rmu.Lock()
+	defer t.rmu.Unlock()
+	return t.pollLocked(ch)
 }
 
 // Close implements Transport: both directions are marked down (the peer
-// observes the flag through the shared segment), the reader goroutine is
-// joined, and the mapping is released once every local user is done.
-// Blocked Recv calls return ErrClosed after draining what already
-// arrived.
+// observes the flag through the shared segment), then Close waits out
+// any Send or receive poll still inside the segment and releases the
+// mapping once every local user is done. Later calls see closing before
+// touching the segment; receives return what the caller-side demux had
+// already parked, then ErrClosed.
 func (t *ShmTransport) Close() error {
 	t.once.Do(func() {
 		t.tx.close()
 		t.rx.close()
-		close(t.done)
-		t.readerWG.Wait()
+		t.closing.Store(true)
+		t.wmu.Lock()
+		t.rmu.Lock()
 		if t.unmap != nil {
 			t.closeErr = t.unmap()
 		}
+		t.rmu.Unlock()
+		t.wmu.Unlock()
 	})
 	return t.closeErr
 }

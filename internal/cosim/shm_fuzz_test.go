@@ -143,3 +143,133 @@ func FuzzShmRing(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShmDemux drives the caller-side demux with a fuzz-chosen script:
+// the peer pushes frames on chosen channels straight into a small ring,
+// and the receiver calls TryRecv or Recv on chosen channels. A model
+// replays the demux rule — a channel's pending frames first, then pop
+// the ring, parking other channels' frames until one is InboxDepth
+// deep — and every delivery, every pending depth, and the final drain
+// after Close must match it exactly.
+func FuzzShmDemux(f *testing.F) {
+	// Seeds: interleaved traffic, one channel's pending queue filling up
+	// behind another's receiver, and a peer close mid-script.
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2, 1, 0})
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1})
+	f.Add([]byte{2, 0, 40, 0, 41, 0, 42, 1, 2, 3, 0, 1, 1, 2, 0, 2, 1})
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		const ringBytes = 4096
+		seg := newHeapShmSegment(ringBytes)
+		peer, in := segmentRings(seg, ringBytes)
+		depth := int(script[0])%4 + 1
+		rx := newShmTransport(in, peer, depth, nil)
+
+		type rec struct {
+			ch  Channel
+			seq uint32
+		}
+		var ring []rec
+		var pend [numChannels][]rec
+		closed := false
+		// next replays one receive on ch: what it must deliver, and
+		// whether the link must report ErrClosed instead.
+		next := func(ch Channel) (rec, bool, bool) {
+			if len(pend[ch]) > 0 {
+				r := pend[ch][0]
+				pend[ch] = pend[ch][1:]
+				return r, true, false
+			}
+			for len(ring) > 0 {
+				r := ring[0]
+				if r.ch != ch && len(pend[r.ch]) >= depth {
+					return rec{}, false, false
+				}
+				ring = ring[1:]
+				if r.ch == ch {
+					return r, true, false
+				}
+				pend[r.ch] = append(pend[r.ch], r)
+			}
+			return rec{}, false, closed
+		}
+		check := func(ch Channel, m Msg, ok bool, err error) {
+			t.Helper()
+			want, wantOK, wantClosed := next(ch)
+			switch {
+			case wantClosed:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("channel %v: got ok=%v err=%v, want ErrClosed", ch, ok, err)
+				}
+			case err != nil:
+				t.Fatalf("channel %v: unexpected error %v", ch, err)
+			case ok != wantOK:
+				t.Fatalf("channel %v: delivered=%v, model says %v", ch, ok, wantOK)
+			case ok && m.Addr != want.seq:
+				t.Fatalf("channel %v: got frame %d, want %d", ch, m.Addr, want.seq)
+			}
+			m.Release()
+			for c := range pend {
+				if got := rx.pending[c].len(); got != len(pend[c]) || got > depth {
+					t.Fatalf("channel %v holds %d pending frames, model %d, bound %d", Channel(c), got, len(pend[c]), depth)
+				}
+			}
+		}
+
+		seq := uint32(0)
+		for i := 1; i+1 < len(script); i += 2 {
+			op, arg := script[i]%4, script[i+1]
+			ch := Channel(arg) % numChannels
+			switch op {
+			case 0: // the peer pushes a frame of arg-dependent size on ch
+				if closed {
+					continue
+				}
+				m := Msg{Type: MTDataWrite, Addr: seq, Words: make([]uint32, int(arg)%64)}
+				if _, _, err := peer.tryPush(ch, &m); err == nil {
+					ring = append(ring, rec{ch, seq})
+					seq++
+				} else if !errors.Is(err, errShmFull) {
+					t.Fatal(err)
+				}
+			case 1: // TryRecv
+				m, ok, err := rx.TryRecv(ch)
+				check(ch, m, ok, err)
+			case 2: // Recv, only when the model says it cannot block
+				saved, savedRing := pend, ring
+				for c := range saved {
+					saved[c] = append([]rec(nil), pend[c]...)
+				}
+				_, ok, gone := next(ch)
+				pend, ring = saved, savedRing
+				if ok || gone {
+					m, err := rx.Recv(ch)
+					check(ch, m, err == nil, err)
+				} else {
+					m, ok, err := rx.TryRecv(ch)
+					check(ch, m, ok, err)
+				}
+			case 3: // the peer closes its side
+				peer.close()
+				closed = true
+			}
+		}
+
+		// After a local Close the segment is off limits: each channel
+		// yields what the demux already parked, in order, then ErrClosed.
+		rx.Close()
+		ring, closed = nil, true
+		for c := Channel(0); c < numChannels; c++ {
+			for {
+				m, ok, err := rx.TryRecv(c)
+				check(c, m, ok, err)
+				if err != nil {
+					break
+				}
+			}
+		}
+	})
+}

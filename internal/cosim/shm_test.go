@@ -2,8 +2,10 @@ package cosim
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -332,5 +334,150 @@ func TestShmRingFullEmptyBoundary(t *testing.T) {
 	// After a full drain the ring accepts traffic again.
 	if _, _, err := r.tryPush(ChanData, &m); err != nil {
 		t.Fatalf("push after drain: %v", err)
+	}
+}
+
+// TestShmUseAfterCloseIsErrClosed: once both sides of an in-process pair
+// have closed, the shared mapping is gone; every verb must report
+// ErrClosed instead of touching the unmapped segment.
+func TestShmUseAfterCloseIsErrClosed(t *testing.T) {
+	hw, board := newShmPairT(t, ShmConfig{})
+	hw.Close()
+	board.Close()
+	for _, tr := range []Transport{hw, board} {
+		if err := tr.Send(ChanClock, Msg{Type: MTClockGrant, Ticks: 1}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Send after close = %v, want ErrClosed", err)
+		}
+		if _, err := tr.Recv(ChanClock); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv after close = %v, want ErrClosed", err)
+		}
+		if _, _, err := tr.TryRecv(ChanData); !errors.Is(err, ErrClosed) {
+			t.Fatalf("TryRecv after close = %v, want ErrClosed", err)
+		}
+		if _, err := RecvTimeout(tr, ChanInt, time.Second); !errors.Is(err, ErrClosed) {
+			t.Fatalf("recvTimeout after close = %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestShmMutualSendDoesNotWedge: both peers send far more than one ring
+// holds before either receives. A sender spinning on a full ring must
+// keep draining its own inbound ring, or the two wait on each other
+// forever.
+func TestShmMutualSendDoesNotWedge(t *testing.T) {
+	hw, board := newShmPairT(t, ShmConfig{RingBytes: ShmMinRingBytes})
+	const frames = 100
+	errc := make(chan error, 2)
+	for _, tr := range []Transport{hw, board} {
+		go func() {
+			words := make([]uint32, 2000) // ~8KB per frame
+			for i := 0; i < frames; i++ {
+				if err := tr.Send(ChanData, Msg{Type: MTDataWrite, Addr: uint32(i), Words: words}); err != nil {
+					errc <- err
+					return
+				}
+			}
+			for i := 0; i < frames; i++ {
+				m, err := tr.Recv(ChanData)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if m.Addr != uint32(i) {
+					errc <- fmt.Errorf("frame %d arrived as %d", i, m.Addr)
+					return
+				}
+				m.Release()
+			}
+			errc <- nil
+		}()
+	}
+	timeout := time.After(5 * time.Second)
+	for range 2 {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("mutual send wedged: both peers still blocked after 5s")
+		}
+	}
+}
+
+// TestShmPairStartsNoGoroutines: the receive path runs on the caller's
+// goroutine, so building a pair spawns nothing.
+func TestShmPairStartsNoGoroutines(t *testing.T) {
+	if !ShmSupported() {
+		t.Skip("shm transport unsupported on this platform")
+	}
+	before := runtime.NumGoroutine()
+	hw, board, err := NewShmPair(ShmConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer board.Close()
+	defer hw.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("NewShmPair started %d goroutine(s)", after-before)
+	}
+}
+
+// TestShmConcurrentChannelReceivers mirrors the session layer's
+// per-channel read loops: three goroutines each Recv one channel of one
+// transport while frames for all three arrive interleaved. Every channel
+// must still deliver in FIFO order; a small InboxDepth makes receivers
+// meet each other's full pending queues.
+func TestShmConcurrentChannelReceivers(t *testing.T) {
+	hw, board := newShmPairT(t, ShmConfig{RingBytes: ShmMinRingBytes, InboxDepth: 4})
+	const perChan = 2000
+	chans := []Channel{ChanData, ChanInt, ChanClock}
+	errc := make(chan error, len(chans)+1)
+	go func() {
+		var next [numChannels]uint32
+		rng := uint32(1)
+		for sent := 0; sent < perChan*len(chans); {
+			rng = rng*1664525 + 1013904223
+			ch := chans[rng>>16%uint32(len(chans))]
+			if next[ch] == perChan {
+				continue
+			}
+			m := Msg{Type: MTDataWrite, Addr: next[ch], Words: make([]uint32, rng>>24%64)}
+			if err := hw.Send(ch, m); err != nil {
+				errc <- err
+				return
+			}
+			next[ch]++
+			sent++
+		}
+		errc <- nil
+	}()
+	for _, ch := range chans {
+		go func() {
+			for i := uint32(0); i < perChan; i++ {
+				m, err := board.Recv(ch)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if m.Addr != i {
+					errc <- fmt.Errorf("channel %v: frame %d arrived as %d", ch, i, m.Addr)
+					return
+				}
+				m.Release()
+			}
+			errc <- nil
+		}()
+	}
+	timeout := time.After(10 * time.Second)
+	for range len(chans) + 1 {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("concurrent receivers stalled")
+		}
 	}
 }
